@@ -415,7 +415,12 @@ def build_tree(spec: TreeSpec) -> BallTree:
                 for child in children[node]:
                     total += measures[child]
                 declared = by_id[node].measure
-                if declared is not None and not _close(declared, total):
+                if not math.isfinite(total):
+                    violations.append(
+                        f"ball {node!r} has infinite measure: its child measures "
+                        "overflow when added"
+                    )
+                elif declared is not None and not _close(declared, total):
                     violations.append(
                         f"ball {node!r} declares measure {declared} but its "
                         f"children sum to {total}"

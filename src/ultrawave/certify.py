@@ -1,11 +1,12 @@
 """Randomized certification of the advertised invariants.
 
 Generates measured trees and kernels from a seeded stream, then checks on
-every instance: basis orthonormality and the counting identity, the
-eigenvalue closed form against the dense matrix, unitarity and the group
-law of free evolution, heat-flow monotonicity and mean conservation,
-ball-by-ball localization of mean-zero packets, and the space-time product
-residual.  Results merge deterministically by instance index.
+every instance: basis orthonormality, the counting identity and the fast
+transforms against the dense basis vectors, the eigenvalue closed form
+against the dense matrix, unitarity and the group law of free evolution,
+heat-flow monotonicity and mean conservation, ball-by-ball localization of
+mean-zero packets, and the space-time product residual.  Results merge
+deterministically by instance index.
 
 Deliberate corruptions ("sign-bug", "tamper-spectrum") are available as
 negative controls to show the checks actually bite.
@@ -14,7 +15,7 @@ negative controls to show the checks actually bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .evolution import (
     spacetime_product_check,
 )
 from .pdo import Spectrum, SupKernel, make_kernel, spectrum, verify_spectrum
-from .wavelet import Wavelet, WaveletBasis, build_basis, mean
+from .wavelet import WaveletBasis, build_basis, mean
 
 INJECTIONS = ("sign-bug", "tamper-spectrum")
 
@@ -131,10 +132,40 @@ def random_mean_zero_packet(
 Check = tuple[str, float, float]  # (name, value, tolerance); passes iff value <= tol
 
 
-def orthonormality_checks(tree: BallTree, basis: WaveletBasis) -> list[Check]:
+def orthonormality_checks(
+    tree: BallTree,
+    basis: WaveletBasis,
+    rng: np.random.Generator,
+) -> list[Check]:
     gram_dev = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
     count_dev = float(abs(basis.size - tree.n_leaves))
-    return [("gram_identity", gram_dev, 1e-10), ("count_identity", count_dev, 0.0)]
+    return [
+        ("gram_identity", gram_dev, 1e-10),
+        ("count_identity", count_dev, 0.0),
+        ("transform_dense_equivalence", _transform_deviation(tree, basis, rng), 1e-12),
+    ]
+
+
+def _transform_deviation(
+    tree: BallTree, basis: WaveletBasis, rng: np.random.Generator
+) -> float:
+    """Relative gap between the fast transforms and products with ``matrix``."""
+    values = random_leaf_values(rng, tree)
+    coefficients = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    dense_coefficients = _real_matvec(basis.matrix, values * tree.leaf_measures)
+    dense_values = _real_matvec(basis.matrix.T, coefficients)
+    analyze_gap = np.linalg.norm(basis.analyze(values) - dense_coefficients) / max(
+        float(np.linalg.norm(dense_coefficients)), _TINY
+    )
+    synthesize_gap = tree.norm(basis.synthesize(coefficients) - dense_values) / max(
+        tree.norm(dense_values), _TINY
+    )
+    return float(max(analyze_gap, synthesize_gap))
+
+
+def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    # a real matrix times a complex vector would first copy the matrix to complex
+    return matrix @ vector.real + 1j * (matrix @ vector.imag)
 
 
 def eigenrelation_checks(
@@ -263,11 +294,15 @@ def spacetime_checks(rng: np.random.Generator) -> list[Check]:
 
 
 def corrupt_basis_sign(basis: WaveletBasis) -> WaveletBasis:
-    """Break the sign structure of the first wavelet (mutation control)."""
-    wavelets = list(basis.wavelets)
-    first = wavelets[0]
-    wavelets[0] = Wavelet(first.ball, first.index, np.abs(first.vector))
-    return WaveletBasis(basis.tree, wavelets, basis.constant)
+    """Break the sign structure of the first wavelet (mutation control).
+
+    The negative Helmert value turns positive in the shared plan, so the
+    fast transforms and the dense materialization both carry the bug.
+    """
+    neg = basis.plan.neg.copy()
+    neg[0] = -neg[0]
+    neg.flags.writeable = False
+    return WaveletBasis(basis.tree, replace(basis.plan, neg=neg))
 
 
 def corrupt_spectrum(spec: Spectrum) -> Spectrum:
@@ -376,7 +411,7 @@ def run_certification(
             spec = corrupt_spectrum(spec)
 
         checks: list[Check] = []
-        checks += orthonormality_checks(tree, basis)
+        checks += orthonormality_checks(tree, basis, rng)
         checks += eigenrelation_checks(tree, instance_kernel, basis, spec)
         checks += unitarity_checks(tree, instance_kernel, basis, spec, rng)
         checks += heat_checks(tree, instance_kernel, basis, spec, rng)

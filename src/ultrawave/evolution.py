@@ -74,21 +74,26 @@ def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[Wave
     The constant coefficient is untouched (eigenvalue 0) and the
     coefficient magnitudes are preserved exactly.
     """
-    lam = packet.spectrum.for_basis(packet.basis)
-    return [
-        packet.with_coefficients(packet.coefficients * np.exp(-1j * config.hbar * lam * t))
-        for t in config.times
-    ]
+    return _propagate(packet, -1j * config.hbar, config.times)
 
 
 def evolve_heat(packet: WavePacket, times) -> list[WavePacket]:
-    """Heat flow: coefficients decay by exp(-lambda*t); requires t >= 0."""
+    """Heat flow: coefficients decay by exp(-lambda*t); requires finite t >= 0."""
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("heat evolution requires nonnegative times")
+    for t in times:
+        if t < 0:
+            raise ValueError(f"heat evolution requires nonnegative times, got {t}")
+    return _propagate(packet, -1.0, times)
+
+
+def _propagate(packet: WavePacket, rate: complex, times) -> list[WavePacket]:
+    """Multiply each coefficient by exp(rate * lambda * t), one state per time."""
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"evolution times must be finite, got {t}")
     lam = packet.spectrum.for_basis(packet.basis)
     return [
-        packet.with_coefficients(packet.coefficients * np.exp(-lam * t)) for t in times
+        packet.with_coefficients(packet.coefficients * np.exp(rate * lam * t)) for t in times
     ]
 
 
@@ -265,8 +270,10 @@ def check_localization(
         coefficient_leak = float(np.max(np.abs(packet.coefficients), initial=0.0))
         outside = np.ones(tree.n_leaves, dtype=bool)
     else:
-        inside = np.array(
-            [tree.contains_ball(support, w.ball) for w in basis.wavelets] + [False]
+        ball = tree.leaf_slice(support)
+        plan = basis.plan
+        inside = np.append(
+            (plan.ball_start >= ball.start) & (plan.child_stop <= ball.stop), False
         )
         coefficient_leak = float(
             np.max(np.abs(packet.coefficients[~inside]), initial=0.0)
@@ -370,10 +377,11 @@ def spacetime_product_check(
 
 def _wavelet_vector(tree: BallTree, ball_id: str, index: int) -> np.ndarray:
     basis = build_basis(tree)
-    for w in basis.wavelets:
-        if w.ball == ball_id and w.index == index:
-            return w.vector
-    raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
+    try:
+        position = basis.labels.index((ball_id, index), 0, basis.size - 1)
+    except ValueError:
+        raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}") from None
+    return basis.wavelets[position].vector
 
 
 # -- CSV artifacts -----------------------------------------------------------
@@ -391,15 +399,6 @@ def read_leaf_values(path, tree: BallTree) -> np.ndarray:
     if missing:
         raise ValueError(f"initial-condition file is missing leaves: {missing[:5]!r}")
     return np.array([seen[l] for l in tree.leaves])
-
-
-def write_leaf_values(path, tree: BallTree, values) -> None:
-    v = tree.as_leaf_values(values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["leaf_id", "re", "im"])
-        for leaf, value in zip(tree.leaves, v):
-            writer.writerow([leaf, repr(float(value.real)), repr(float(value.imag))])
 
 
 def write_trajectory(path, tree: BallTree, times, states) -> None:

@@ -48,10 +48,8 @@ class Spectrum:
 
     def for_basis(self, basis: WaveletBasis) -> np.ndarray:
         """Eigenvalue per basis element, in basis order (constant last)."""
-        return np.array(
-            [self.eigenvalues[w.ball] for w in basis.wavelets]
-            + [self.constant_eigenvalue]
-        )
+        per_ball = np.array([self.eigenvalues[b] for b in basis.tree.internal], dtype=float)
+        return np.append(per_ball[basis.plan.ball], self.constant_eigenvalue)
 
 
 @dataclass(frozen=True)

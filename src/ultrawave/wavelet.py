@@ -11,13 +11,24 @@ j+1, and zero elsewhere, the two values fixed by the zero-mean and
 unit-norm constraints.  For a two-child ball with equal masses this is the
 classical Haar pair (+1, -1); any other orthonormal choice inside a ball
 spans the same space and leaves every operator in :mod:`.pdo` diagonal.
+
+A basis is stored as a :class:`TransformPlan`: per wavelet two leaf ranges
+and the Helmert pair, plus a schedule over the tree's balls, O(n) numbers
+for n leaves.  ``analyze`` and ``synthesize`` run in O(n) as a pyramid over
+that schedule: ball integrals of f * nu bottom-up, then values top-down.
+Partial sums over siblings come from a work-efficient (Blelloch) scan, so
+each is a balanced tree of additions and rounding grows with depth and the
+log of the arity, not with n.  ``matrix``,
+``gram`` and ``Wavelet.vector`` materialize dense vectors from the same
+plan; they cost O(n^2) and exist for the dense oracles and tests.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +39,68 @@ CONSTANT_LABEL = "const"
 
 
 @dataclass(frozen=True)
+class TransformPlan:
+    """Everything a wavelet basis stores, as read-only arrays.
+
+    Wavelet k belongs to ball ``tree.internal[ball[k]]`` with index
+    ``index[k]`` = j.  It equals ``pos[k]`` on leaves
+    ``[ball_start[k], child_start[k])`` (children 1..j of the ball),
+    ``neg[k]`` on leaves ``[child_start[k], child_stop[k])`` (child j+1) and
+    zero elsewhere.  ``constant`` is the value of the normalized constant.
+
+    The pyramid numbers the balls root first (node 0), then the children of
+    each internal ball in tree order, so siblings are consecutive nodes.
+    ``child_node[k]`` is the node of wavelet k's child j+1, ``leaf_node``
+    the node of each leaf and ``parent`` each node's parent.  ``levels``
+    holds, per depth from the root down, the internal balls at that depth
+    (``parents``), all balls one level deeper (``kids``, grouped by parent)
+    and the start of each parent's group in ``kids``.  ``scan`` pairs
+    sibling blocks for :func:`_sibling_sums`: level L joins blocks
+    ``left`` and ``right`` of level L - 1 (each block a run of 2**(L-1)
+    consecutive siblings) into one, ``paired`` marking the joined blocks
+    that have a right half.
+    """
+
+    ball: np.ndarray
+    index: np.ndarray
+    ball_start: np.ndarray
+    child_start: np.ndarray
+    child_stop: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    constant: float
+    child_node: np.ndarray
+    leaf_node: np.ndarray
+    parent: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    scan: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def fill_row(self, row: np.ndarray, k: int) -> None:
+        """Write wavelet k's values into a zeroed leaf vector."""
+        row[self.ball_start[k] : self.child_start[k]] = self.pos[k]
+        row[self.child_start[k] : self.child_stop[k]] = self.neg[k]
+
+
+@dataclass(frozen=True)
 class Wavelet:
     """One basis element: mean zero, unit norm, supported in ``ball``.
 
-    ``index`` runs from 1 to (children of ball) - 1.  The vector holds real
-    leaf values in canonical leaf order and is constant on each child.
+    ``index`` runs from 1 to (children of ball) - 1.  ``vector`` holds real
+    leaf values in canonical leaf order and is constant on each child; it
+    is materialized from the basis plan on every access (O(n)).
     """
 
     ball: str
     index: int
-    vector: np.ndarray
+    _plan: TransformPlan = field(repr=False, compare=False)
+    _position: int = field(repr=False, compare=False)
+
+    @property
+    def vector(self) -> np.ndarray:
+        v = np.zeros(len(self._plan.leaf_node))
+        self._plan.fill_row(v, self._position)
+        v.flags.writeable = False
+        return v
 
 
 class WaveletBasis:
@@ -49,70 +112,210 @@ class WaveletBasis:
     ``(root_id, "const")``.
     """
 
-    def __init__(self, tree: BallTree, wavelets: list[Wavelet], constant: np.ndarray):
+    def __init__(self, tree: BallTree, plan: TransformPlan):
         self.tree = tree
-        self.wavelets = tuple(wavelets)
-        self.constant = constant
+        self.plan = plan
         self.labels: tuple[tuple[str, int | str], ...] = tuple(
-            [(w.ball, w.index) for w in self.wavelets] + [(tree.root, CONSTANT_LABEL)]
-        )
-        rows = [w.vector for w in self.wavelets] + [constant]
-        self._matrix = np.vstack(rows)
-        self._matrix.flags.writeable = False
-        self._weighted = self._matrix * tree.leaf_measures
+            zip([tree.internal[b] for b in plan.ball.tolist()], plan.index.tolist())
+        ) + ((tree.root, CONSTANT_LABEL),)
 
     @property
     def size(self) -> int:
-        return len(self.wavelets) + 1
+        return len(self.plan.pos) + 1
 
     @property
+    def constant(self) -> np.ndarray:
+        """The normalized constant element as a leaf vector."""
+        v = np.full(self.tree.n_leaves, self.plan.constant)
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def wavelets(self) -> tuple[Wavelet, ...]:
+        return tuple(
+            Wavelet(ball, index, self.plan, k)
+            for k, (ball, index) in enumerate(self.labels[:-1])
+        )
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """Basis vectors as rows, shape (size, n_leaves), constant last."""
-        return self._matrix
+        """Basis vectors as rows, shape (size, n_leaves), constant last.
+
+        Dense O(n^2) materialization for oracles; computed once, read-only.
+        """
+        m = np.zeros((self.size, self.tree.n_leaves))
+        for k in range(self.size - 1):
+            self.plan.fill_row(m[k], k)
+        m[-1] = self.plan.constant
+        m.flags.writeable = False
+        return m
 
     def analyze(self, values) -> np.ndarray:
         """Expansion coefficients of a leaf function, one per basis element."""
+        p = self.plan
         v = self.tree.as_leaf_values(values)
-        return self._weighted @ v
+        integral = np.empty(len(p.parent), dtype=complex)
+        integral[p.leaf_node] = v * self.tree.leaf_measures
+        for parents, kids, offsets in reversed(p.levels):
+            integral[parents] = np.add.reduceat(integral[kids], offsets)
+        before = _sibling_sums(integral, p.scan, before=True)
+        wavelet_part = p.pos * before[p.child_node] + p.neg * integral[p.child_node]
+        return np.append(wavelet_part, p.constant * integral[0])
 
     def synthesize(self, coefficients) -> np.ndarray:
         """Leaf function with the given expansion coefficients."""
         c = np.asarray(coefficients, dtype=complex)
         if c.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got shape {c.shape}")
-        return self._matrix.T @ c
+        p = self.plan
+        # a ball's wavelets add, on its child i, pos * c for every wavelet
+        # of a later child plus neg * c for the wavelet of child i
+        up = np.zeros(len(p.parent), dtype=complex)
+        up[p.child_node] = p.pos * c[:-1]
+        value = _sibling_sums(up, p.scan, before=False)
+        value[p.child_node] += p.neg * c[:-1]
+        value[0] = p.constant * c[-1]
+        for _, kids, _ in p.levels:
+            value[kids] += value[p.parent[kids]]
+        return value[p.leaf_node]
 
     def gram(self) -> np.ndarray:
         """Measure-weighted Gram matrix; identity for a correct basis."""
-        return self._weighted @ self._matrix.T
+        m = self.matrix
+        return (m * self.tree.leaf_measures) @ m.T
+
+
+def _sibling_sums(x: np.ndarray, scan, before: bool) -> np.ndarray:
+    """Sum of ``x`` over the earlier (or, if not ``before``, later) siblings.
+
+    An up-sweep sums aligned blocks of 1, 2, 4, ... siblings, a down-sweep
+    hands each block the sum of the blocks before (after) it.  Every level
+    touches only its own blocks, so the work is O(len(x)), and every sum is
+    a balanced tree of additions.
+    """
+    sums = [x]
+    for left, paired, right in scan:
+        s = sums[-1][left]
+        s[paired] += sums[-1][right]
+        sums.append(s)
+    out = np.zeros_like(sums[-1])
+    for (left, paired, right), s in zip(reversed(scan), reversed(sums[:-1])):
+        below = np.zeros_like(s)
+        below[left] = out
+        below[right] = out[paired]
+        if before:
+            below[right] += s[left[paired]]
+        else:
+            below[left[paired]] += s[right]
+        out = below
+    return out
+
+
+def _scan_schedule(rank: np.ndarray, rank_back: np.ndarray):
+    """The ``scan`` of a plan, from each node's count of earlier and later siblings."""
+    scan = []
+    while True:
+        # a block opens a pair if it is even-numbered and has a sibling block
+        left = np.flatnonzero((rank % 2 == 0) & (rank + rank_back > 0))
+        if left.size == 0:
+            return tuple(scan)
+        paired = np.flatnonzero(rank_back[left] > 0)
+        right = left[paired] + 1
+        for a in (left, paired, right):
+            a.flags.writeable = False
+        scan.append((left, paired, right))
+        rank, rank_back = rank[left] // 2, rank_back[left] // 2
+
+
+def _helmert_weight(near: np.ndarray, far: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """sqrt(far / (near * total)): the Helmert value on the ``near`` side.
+
+    ``near`` and ``total`` are scaled by even powers of two into [0.5, 2)
+    first, so no intermediate overflows or underflows, even for subnormal
+    measures.  In the normal range the scaling is exact and the result is
+    bitwise that of the plain formula.
+    """
+    a = np.frexp(near)[1] // 2
+    c = np.frexp(total)[1] // 2
+    ratio = np.ldexp(far, -2 * c) / (np.ldexp(near, -2 * a) * np.ldexp(total, -2 * c))
+    return np.ldexp(np.sqrt(ratio), -a)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def build_basis(tree: BallTree) -> WaveletBasis:
-    """Construct the wavelet basis of a tree.
+    """Construct the wavelet basis of a tree in O(n).
 
     Deterministic: the same tree always yields bitwise-identical vectors.
     """
-    n = tree.n_leaves
-    wavelets: list[Wavelet] = []
-    for ball_id in tree.internal:
+    node_of = {tree.root: 0}
+    parent, depth, rank, rank_back = [0], [0], [0], [0]
+    ball, index, ball_start, child_start, child_stop = [], [], [], [], []
+    head, tail, child_node = [], [], []
+    for b, ball_id in enumerate(tree.internal):
+        up = node_of[ball_id]
         children = tree.ball(ball_id).children
-        masses = [tree.ball(c).measure for c in children]
-        head = masses[0]
-        for j in range(1, len(children)):
-            tail = masses[j]
-            total = head + tail
-            pos = math.sqrt(tail / (head * total))
-            neg = -math.sqrt(head / (tail * total))
-            vector = np.zeros(n)
-            for child in children[:j]:
-                vector[tree.leaf_slice(child)] = pos
-            vector[tree.leaf_slice(children[j])] = neg
-            vector.flags.writeable = False
-            wavelets.append(Wavelet(ball=ball_id, index=j, vector=vector))
-            head = total
-    constant = np.full(n, 1.0 / math.sqrt(tree.total_measure))
-    constant.flags.writeable = False
-    return WaveletBasis(tree, wavelets, constant)
+        start = tree.leaf_slice(ball_id).start
+        mass = 0.0
+        for j, child in enumerate(children):
+            node = len(parent)
+            node_of[child] = node
+            parent.append(up)
+            depth.append(depth[up] + 1)
+            rank.append(j)
+            rank_back.append(len(children) - 1 - j)
+            measure = tree.ball(child).measure
+            if j == 0:
+                mass = measure
+                continue
+            span = tree.leaf_slice(child)
+            ball.append(b)
+            index.append(j)
+            ball_start.append(start)
+            child_start.append(span.start)
+            child_stop.append(span.stop)
+            child_node.append(node)
+            head.append(mass)
+            tail.append(measure)
+            mass += measure
+
+    parent_arr = _frozen(parent, np.intp)
+    depth_arr = np.array(depth)
+    order = np.argsort(depth_arr, kind="stable")
+    bounds = np.searchsorted(depth_arr[order], np.arange(depth_arr.max() + 2))
+    levels = []
+    for d in range(depth_arr.max()):
+        # the stable sort keeps node numbers ascending within a depth, and
+        # they follow the depth-first order, so kids come grouped by parent
+        kids = order[bounds[d + 1] : bounds[d + 2]]
+        parents, offsets = np.unique(parent_arr[kids], return_index=True)
+        for a in (parents, kids, offsets):
+            a.flags.writeable = False
+        levels.append((parents, kids, offsets))
+
+    head_arr = np.array(head, dtype=float)
+    tail_arr = np.array(tail, dtype=float)
+    total = head_arr + tail_arr
+    plan = TransformPlan(
+        ball=_frozen(ball, np.intp),
+        index=_frozen(index, np.intp),
+        ball_start=_frozen(ball_start, np.intp),
+        child_start=_frozen(child_start, np.intp),
+        child_stop=_frozen(child_stop, np.intp),
+        pos=_frozen(_helmert_weight(head_arr, tail_arr, total), float),
+        neg=_frozen(-_helmert_weight(tail_arr, head_arr, total), float),
+        constant=1.0 / math.sqrt(tree.total_measure),
+        child_node=_frozen(child_node, np.intp),
+        leaf_node=_frozen([node_of[leaf] for leaf in tree.leaves], np.intp),
+        parent=parent_arr,
+        levels=tuple(levels),
+        scan=_scan_schedule(np.array(rank), np.array(rank_back)),
+    )
+    return WaveletBasis(tree, plan)
 
 
 def mean(tree: BallTree, values) -> complex:

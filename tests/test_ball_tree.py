@@ -120,6 +120,8 @@ def test_declared_measures_consistent_are_accepted():
             {"zz": 2.0},
             "unknown",
         ),
+        # finite leaf measures whose sum overflows
+        ([("r", None, 1.0), ("a", "r", 0.5, 1e308), ("b", "r", 0.5, 1e308)], None, "overflow"),
     ],
 )
 def test_build_rejects_value_violations(entries, leaf_measures, fragment):

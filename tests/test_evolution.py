@@ -117,6 +117,13 @@ def test_heat_rejects_negative_times(binary_tree, binary_kernel):
         uw.evolve_heat(packet, [-0.1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_heat_rejects_non_finite_times(binary_tree, binary_kernel, bad):
+    packet = _packet(binary_tree, binary_kernel, np.ones(4))
+    with pytest.raises(ValueError, match=str(bad)):
+        uw.evolve_heat(packet, [1.0, bad])
+
+
 def test_heat_mean_zero_packet_dies_out():
     tree = uw.build_tree(uw.padic_preset(2, 2, 1.0))
     kernel = uw.constant_kernel(tree, 1.0)  # strictly positive eigenvalues

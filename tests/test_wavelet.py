@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import ultrawave as uw
 from ultrawave.ball_tree import BallSpec, TreeSpec
-from ultrawave.certify import random_tree
+from ultrawave.certify import random_tree, random_tree_spec
 from ultrawave.wavelet import read_coefficients, write_coefficients
 
 
@@ -218,3 +220,133 @@ def test_basis_matrix_is_read_only(binary_tree):
         basis.matrix[0, 0] = 5.0
     with pytest.raises(ValueError):
         basis.wavelets[0].vector[0] = 5.0
+
+
+# -- fast transforms against the dense materialization ---------------------------
+
+
+def _reference_matrix(tree):
+    """Basis rows built child by child with the plain Helmert formula."""
+    rows = []
+    for ball_id in tree.internal:
+        children = tree.ball(ball_id).children
+        head = tree.ball(children[0]).measure
+        for j in range(1, len(children)):
+            tail = tree.ball(children[j]).measure
+            total = head + tail
+            row = np.zeros(tree.n_leaves)
+            for child in children[:j]:
+                row[tree.leaf_slice(child)] = math.sqrt(tail / (head * total))
+            row[tree.leaf_slice(children[j])] = -math.sqrt(head / (tail * total))
+            rows.append(row)
+            head = total
+    rows.append(np.full(tree.n_leaves, 1.0 / math.sqrt(tree.total_measure)))
+    return np.array(rows)
+
+
+def test_matrix_matches_plain_formula_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        tree = random_tree(rng, min_leaves=2, max_leaves=150, max_children=7)
+        np.testing.assert_array_equal(uw.build_basis(tree).matrix, _reference_matrix(tree))
+
+
+def _spec_from_children(children, measures):
+    """Tree spec from one child list per ball (ball 0 the root, parents
+    numbered before their children); leaves take ``measures`` in id order."""
+    balls = [BallSpec("b0", None, 1.0)]
+    depth = [0] * len(children)
+    for ball, kids in enumerate(children):
+        for kid in kids:
+            depth[kid] = depth[ball] + 1
+            balls.append(BallSpec(f"b{kid}", f"b{ball}", 1.0 / (1 + depth[kid])))
+    leaves = [f"b{b}" for b, kids in enumerate(children) if not kids]
+    return TreeSpec(balls=tuple(balls), leaf_measures=dict(zip(leaves, measures)))
+
+
+def _adversarial_tree(kind, n, seed):
+    """A random, caterpillar (depth n - 1) or star tree with about n leaves
+    whose measures spread over +-6 decades."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        spec = random_tree_spec(rng, max_leaves=n, max_children=9)
+        leaves = list(spec.leaf_measures)
+        measures = 10.0 ** rng.uniform(-6.0, 6.0, len(leaves))
+        return uw.build_tree(dataclasses.replace(spec, leaf_measures=dict(zip(leaves, measures))))
+    if kind == "star":
+        children = [list(range(1, n + 1))] + [[] for _ in range(n)]
+    else:
+        children, spine = [[]], 0
+        for _ in range(n - 1):
+            leaf, deeper = len(children), len(children) + 1
+            children += [[], []]
+            children[spine] = [leaf, deeper] if rng.random() < 0.5 else [deeper, leaf]
+            spine = deeper
+    return uw.build_tree(_spec_from_children(children, 10.0 ** rng.uniform(-6.0, 6.0, n)))
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.just("random"), st.integers(min_value=2, max_value=300)),
+    st.tuples(st.just("caterpillar"), st.integers(min_value=2, max_value=300)),
+    st.tuples(st.just("star"), st.integers(min_value=1000, max_value=1200)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_fast_transforms_match_dense_matrix(shape, seed):
+    tree = _adversarial_tree(*shape, seed)
+    basis = uw.build_basis(tree)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(tree.n_leaves) + 1j * rng.standard_normal(tree.n_leaves)
+    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+
+    dense_coefficients = basis.matrix @ (f * tree.leaf_measures)
+    gap = np.linalg.norm(basis.analyze(f) - dense_coefficients)
+    assert gap <= 1e-12 * np.linalg.norm(dense_coefficients)
+
+    dense_values = basis.matrix.T @ c
+    assert tree.norm(basis.synthesize(c) - dense_values) <= 1e-12 * tree.norm(dense_values)
+
+    back = basis.synthesize(basis.analyze(f))
+    assert tree.norm(back - f) <= 1e-12 * tree.norm(f)
+
+
+@pytest.mark.parametrize(
+    "measures",
+    [
+        [1e-320, 1.0],  # subnormal
+        [1.0, 1e-320],
+        [5e-324, 5e-324],  # smallest subnormal twice
+        [1e-200, 1e-200, 3e-200],  # head * total underflows
+        [1e300, 1e-300, 1.0],
+    ],
+)
+def test_extreme_measures_give_finite_weights(measures):
+    children = [list(range(1, len(measures) + 1))] + [[] for _ in measures]
+    tree = uw.build_tree(_spec_from_children(children, measures))
+    basis = uw.build_basis(tree)
+    assert np.all(np.isfinite(basis.plan.pos)) and np.all(np.isfinite(basis.plan.neg))
+    assert np.max(np.abs(basis.gram() - np.eye(basis.size))) <= 1e-10
+
+
+def test_fast_transform_memory_is_linear():
+    # a dense basis at this size takes 2 GB
+    tree = uw.build_tree(uw.padic_preset(2, 14, 1.0))
+    f = np.random.default_rng(0).standard_normal(tree.n_leaves) + 0j
+    tracemalloc.start()
+    try:
+        basis = uw.build_basis(tree)
+        back = basis.synthesize(basis.analyze(f))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert tree.norm(back - f) <= 1e-12 * tree.norm(f)
+
+
+@pytest.mark.parametrize("kind, n", [("star", 10000), ("random", 2000), ("caterpillar", 500)])
+def test_sibling_scan_work_is_linear(kind, n):
+    # whatever the arity, the scan's levels hold at most two entries per node
+    plan = uw.build_basis(_adversarial_tree(kind, n, 0)).plan
+    assert sum(len(left) for left, _, _ in plan.scan) <= 2 * len(plan.parent)
