@@ -4,6 +4,7 @@ Generates measured trees and kernels from a seeded stream, then checks on
 every instance: basis orthonormality, the counting identity and the fast
 transforms against the dense basis vectors, the eigenvalue closed form
 against the dense matrix, unitarity and the group law of free evolution,
+free and potential evolution against the dense propagator (small trees),
 heat-flow monotonicity and mean conservation, ball-by-ball localization of
 mean-zero packets, and the space-time product residual.  Results merge
 deterministically by instance index.
@@ -21,15 +22,25 @@ import numpy as np
 
 from .ball_tree import BallSpec, BallTree, TreeSpec, build_tree
 from .evolution import (
+    DensePropagator,
     EvolutionConfig,
     WavePacket,
     check_localization,
     evolve_heat,
     evolve_schrodinger,
+    evolve_with_potential,
     free_propagator,
+    real_matvec,
     spacetime_product_check,
 )
-from .pdo import Spectrum, SupKernel, make_kernel, spectrum, verify_spectrum
+from .pdo import (
+    Spectrum,
+    SupKernel,
+    dense_operator,
+    make_kernel,
+    spectrum,
+    verify_spectrum,
+)
 from .wavelet import WaveletBasis, build_basis, mean
 
 INJECTIONS = ("sign-bug", "tamper-spectrum")
@@ -152,8 +163,8 @@ def _transform_deviation(
     """Relative gap between the fast transforms and products with ``matrix``."""
     values = random_leaf_values(rng, tree)
     coefficients = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    dense_coefficients = _real_matvec(basis.matrix, values * tree.leaf_measures)
-    dense_values = _real_matvec(basis.matrix.T, coefficients)
+    dense_coefficients = real_matvec(basis.matrix, values * tree.leaf_measures)
+    dense_values = real_matvec(basis.matrix.T, coefficients)
     analyze_gap = np.linalg.norm(basis.analyze(values) - dense_coefficients) / max(
         float(np.linalg.norm(dense_coefficients)), _TINY
     )
@@ -161,11 +172,6 @@ def _transform_deviation(
         tree.norm(dense_values), _TINY
     )
     return float(max(analyze_gap, synthesize_gap))
-
-
-def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    # a real matrix times a complex vector would first copy the matrix to complex
-    return matrix @ vector.real + 1j * (matrix @ vector.imag)
 
 
 def eigenrelation_checks(
@@ -205,7 +211,32 @@ def unitarity_checks(
         dense_state = free_propagator(tree, kernel).schrodinger(values, t1)
         deviation = tree.norm(first.leaf_values() - dense_state) / norm0
         checks.append(("spectral_dense_equivalence", deviation, 1e-8))
+        checks.append(
+            ("potential_dense_equivalence", _potential_deviation(tree, kernel, rng), 1e-8)
+        )
     return checks
+
+
+def _potential_deviation(
+    tree: BallTree, kernel: SupKernel, rng: np.random.Generator
+) -> float:
+    """Relative gap between ``evolve_with_potential`` and the dense propagator.
+
+    Random kernels and leaf measures stay below 1, so every eigenvalue is
+    below the total measure; with the potential in [-1, 1) and the time in
+    [0, 1) the evolution then normally takes the Lanczos route, the one
+    this compares.  A stiff pinned kernel compares the dense route with
+    itself.
+    """
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    t = float(rng.uniform(0.0, 1.0))
+    (state,) = evolve_with_potential(
+        values, potential, tree, kernel, EvolutionConfig(times=(t,))
+    )
+    hamiltonian = dense_operator(tree, kernel).matrix + np.diag(potential)
+    dense_state = DensePropagator(tree, hamiltonian).schrodinger(values, t)
+    return tree.norm(state - dense_state) / max(tree.norm(values), _TINY)
 
 
 def heat_checks(

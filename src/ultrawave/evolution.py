@@ -8,10 +8,20 @@ packet supported in a ball stays supported in that ball for all time;
 ``check_localization`` certifies this and can demonstrate, through the
 dense propagator, how a packet with nonzero mean leaks out.
 
+A real potential U couples the wavelets, so ``evolve_with_potential``
+applies exp(-i t H / hbar) with a Lanczos (Krylov) exponential: the
+product H f = hbar**2 * synthesize(lambda * analyze f) + U f costs O(n),
+and each substep grows an orthonormal Krylov basis until Saad's
+a-posteriori error estimate meets a fixed tolerance.  The number of
+products grows with the spectral width of H/hbar times the time span,
+which is bounded a priori by hbar * max(lambda) + (max U - min U) / hbar;
+when that bound times the span exceeds the number of leaves, the dense
+eigendecomposition is used instead.
+
 ``DensePropagator`` evolves leaf functions directly through an
 eigendecomposition of the measure-symmetrized operator matrix, with no
 reference to wavelets; it is the cross-check route for everything above
-and the engine for evolution in a potential.
+and the fallback for stiff potential evolutions.
 """
 
 from __future__ import annotations
@@ -97,6 +107,15 @@ def _propagate(packet: WavePacket, rate: complex, times) -> list[WavePacket]:
     ]
 
 
+def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` for a real matrix and a complex vector.
+
+    Multiplying the real and imaginary parts separately avoids the complex
+    copy of the whole matrix that a mixed-type product makes first.
+    """
+    return matrix @ vector.real + 1j * (matrix @ vector.imag)
+
+
 class DensePropagator:
     """exp(scale * H) applied through the eigendecomposition of H.
 
@@ -117,9 +136,9 @@ class DensePropagator:
     def expm_apply(self, values, scale: complex) -> np.ndarray:
         """Return exp(scale * H) applied to a leaf function."""
         v = self.tree.as_leaf_values(values)
-        sym = self._eigenvectors.T @ (self._root_weights * v)
+        sym = real_matvec(self._eigenvectors.T, self._root_weights * v)
         sym = np.exp(scale * self._eigenvalues) * sym
-        return (self._eigenvectors @ sym) / self._root_weights
+        return real_matvec(self._eigenvectors, sym) / self._root_weights
 
     def schrodinger(self, values, t: float, hbar: float = 1.0) -> np.ndarray:
         """Unitary evolution exp(-i*hbar*t*H) matching the free spectral route."""
@@ -139,9 +158,14 @@ def evolve_with_potential(
 ) -> list[np.ndarray]:
     """Evolve a leaf function under the operator plus a real potential.
 
-    The generator is hbar**2 times the dense operator plus diag(potential);
-    the state at time t is exp(-i t H / hbar) applied to the input.  Norm
-    is preserved to linear-algebra accuracy.
+    The generator is H = hbar**2 times the operator plus diag(potential);
+    the state at time t is exp(-i t H / hbar) applied to the input, for
+    times of either sign in any order.  H / hbar has spectral width at most
+    hbar * max(lambda) + (max U - min U) / hbar.  When that width times
+    the time span covered from t = 0 is at most the number of leaves, the
+    states come from the Lanczos exponential on the O(n) wavelet product;
+    otherwise from the dense eigendecomposition, which is then cheaper.
+    Both preserve the norm to linear-algebra accuracy.
     """
     u = np.asarray(potential)
     if u.shape != (tree.n_leaves,):
@@ -152,9 +176,164 @@ def evolve_with_potential(
         raise ValueError("potential must be real-valued")
     u = u.real.astype(float)
     v = tree.as_leaf_values(values)
-    hamiltonian = config.hbar**2 * dense_operator(tree, kernel).matrix + np.diag(u)
-    propagator = DensePropagator(tree, hamiltonian)
-    return [propagator.expm_apply(v, -1j * t / config.hbar) for t in config.times]
+    _require_finite(tree, v, "initial value")
+    _require_finite(tree, u, "potential")
+    hbar = config.hbar
+    spec = build_spectrum(tree, kernel)
+    width = hbar * max(spec.eigenvalues.values(), default=0.0) + float(np.ptp(u)) / hbar
+    if width * _time_span(config.times) > tree.n_leaves:
+        hamiltonian = hbar**2 * dense_operator(tree, kernel).matrix + np.diag(u)
+        propagator = DensePropagator(tree, hamiltonian)
+        return [propagator.expm_apply(v, -1j * t / hbar) for t in config.times]
+
+    basis = build_basis(tree)
+    lam = hbar * spec.for_basis(basis)
+    root = np.sqrt(tree.leaf_measures)
+    shift = u / hbar
+
+    def matvec(g: np.ndarray) -> np.ndarray:
+        # H / hbar conjugated by diag(sqrt(nu)): a real symmetric operator
+        return root * basis.synthesize(lam * basis.analyze(g / root)) + shift * g
+
+    return [g / root for g in lanczos_expm(matvec, root * v, config.times)]
+
+
+def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        leaf = tree.leaves[bad[0]]
+        raise ValueError(f"{what} at leaf {leaf!r} is not finite: {values[bad[0]]}")
+
+
+def _time_span(times) -> float:
+    """Length of time covered when stepping from t = 0 to every sample time."""
+    return max(max(times, default=0.0), 0.0) - min(min(times, default=0.0), 0.0)
+
+
+#: Error allowed over a whole Lanczos evolution, relative to the state norm.
+_KRYLOV_TOL = 1e-12
+#: Largest Krylov basis built for one substep.
+_KRYLOV_DIM = 40
+
+
+@dataclass(frozen=True)
+class _KrylovSpace:
+    """Lanczos basis of a start vector and the eigensystem of its projection.
+
+    ``vectors`` holds m orthonormal rows spanning the Krylov space; the
+    operator restricted to it is the tridiagonal T = ``coords`` diag(``ritz``)
+    ``coords``^T, and ``residual`` is the norm of the part of the operator
+    times the last basis vector that leaves the space (0 if the space is
+    invariant).
+    """
+
+    vectors: np.ndarray
+    ritz: np.ndarray
+    coords: np.ndarray
+    scale: float
+    residual: float
+
+    def apply(self, z: complex) -> np.ndarray:
+        """exp(z * A) applied to the start vector, from the Krylov space."""
+        weights = self.coords @ (np.exp(z * self.ritz) * self.coords[0])
+        return self.scale * (weights @ self.vectors)
+
+    def error(self, z: complex) -> float:
+        """Saad's a-posteriori estimate of the error of ``apply(z)``.
+
+        scale * residual * |z| * |e_m^T phi_1(z T) e_1|, with
+        phi_1(x) = (exp(x) - 1) / x: the leading term of the error series
+        (Saad, SIAM J. Numer. Anal. 29, 1992, section 5).
+        """
+        x = z * self.ritz
+        phi = np.ones_like(x)
+        nonzero = x != 0
+        phi[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
+        tail = abs(self.coords[-1] @ (phi * self.coords[0]))
+        return self.scale * self.residual * abs(z) * float(tail)
+
+
+def _krylov_space(matvec, start: np.ndarray, z: complex, allowed: float) -> _KrylovSpace:
+    """Grow a Lanczos basis of ``start`` until ``error(z)`` is within ``allowed``.
+
+    ``matvec`` must apply a real symmetric operator A.  Every new vector is
+    orthogonalized twice against the whole basis (full
+    reorthogonalization), so the basis stays orthonormal to rounding.  The
+    growth stops at ``_KRYLOV_DIM`` vectors, at the dimension of the space, or
+    when the basis becomes invariant.
+    """
+    n = start.size
+    dim = min(_KRYLOV_DIM, n)
+    scale = float(np.linalg.norm(start))
+    vectors = np.empty((dim, n), dtype=complex)
+    vectors[0] = start / scale
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(dim):
+        if j:
+            beta.append(residual)
+            vectors[j] = w / residual
+        w = matvec(vectors[j])
+        product_norm = float(np.linalg.norm(w))
+        basis = vectors[: j + 1]
+        # conj(basis) @ w without copying the basis
+        h = (basis @ w.conj()).conj()
+        w = w - h @ basis
+        correction = (basis @ w.conj()).conj()
+        w = w - correction @ basis
+        alpha.append(float((h[j] + correction[j]).real))
+        residual = float(np.linalg.norm(w))
+        invariant = residual <= 16 * np.finfo(float).eps * product_norm or j + 1 == n
+        ritz, coords = np.linalg.eigh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        )
+        space = _KrylovSpace(basis, ritz, coords, scale, 0.0 if invariant else residual)
+        if invariant or space.error(z) <= allowed:
+            break
+    return space
+
+
+def lanczos_expm(matvec, start: np.ndarray, times) -> list[np.ndarray]:
+    """exp(-i t A) applied to ``start`` for each time, A real symmetric.
+
+    Each direction of time is covered by substeps from t = 0 through the
+    sorted sample times.  A substep builds one Krylov basis of the current
+    state aimed at the farthest remaining time, then halves its length
+    until the error estimate is within ``_KRYLOV_TOL * |start|`` per unit of the
+    total time span, and reads every sample time it covers off that basis.
+    States come back in the order of ``times``.
+    """
+    times = [float(t) for t in times]
+    states: list[np.ndarray | None] = [None] * len(times)
+    span = _time_span(times)
+    norm = float(np.linalg.norm(start))
+    for i, t in enumerate(times):
+        if t == 0.0 or norm == 0.0:
+            states[i] = start.astype(complex)
+    for sign in (1.0, -1.0):
+        pending = sorted(
+            (sign * t, i) for i, t in enumerate(times) if sign * t > 0 and states[i] is None
+        )
+        if not pending:
+            continue
+        rate = -1j * sign
+        per_time = _KRYLOV_TOL * norm / span
+        state, now = start.astype(complex), 0.0
+        while pending:
+            step = pending[-1][0] - now
+            space = _krylov_space(matvec, state, rate * step, per_time * step)
+            for _ in range(64):
+                if space.error(rate * step) <= per_time * step:
+                    break
+                step /= 2
+            else:
+                raise ArithmeticError("Lanczos substep did not reach its error tolerance")
+            while pending and pending[0][0] - now <= step:
+                distance, i = pending.pop(0)
+                states[i] = space.apply(rate * (distance - now))
+            if pending:
+                state, now = space.apply(rate * step), now + step
+    return states
 
 
 @dataclass(frozen=True)
@@ -388,7 +567,10 @@ def _wavelet_vector(tree: BallTree, ball_id: str, index: int) -> np.ndarray:
 
 
 def read_leaf_values(path, tree: BallTree) -> np.ndarray:
-    """Read a leaf-values CSV (columns leaf_id, re, im) in canonical order."""
+    """Read a leaf-values CSV (columns leaf_id, re, im) in canonical order.
+
+    Every leaf must appear and every value must be finite.
+    """
     seen: dict[str, complex] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -398,7 +580,9 @@ def read_leaf_values(path, tree: BallTree) -> np.ndarray:
     missing = [l for l in tree.leaves if l not in seen]
     if missing:
         raise ValueError(f"initial-condition file is missing leaves: {missing[:5]!r}")
-    return np.array([seen[l] for l in tree.leaves])
+    values = np.array([seen[l] for l in tree.leaves])
+    _require_finite(tree, values, f"value in {path}")
+    return values
 
 
 def write_trajectory(path, tree: BallTree, times, states) -> None:

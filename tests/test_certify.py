@@ -1,7 +1,13 @@
 import numpy as np
 
 import ultrawave as uw
-from ultrawave.certify import corrupt_basis_sign, orthonormality_checks, random_tree
+from ultrawave.certify import (
+    corrupt_basis_sign,
+    orthonormality_checks,
+    random_kernel,
+    random_tree,
+    unitarity_checks,
+)
 
 
 def _checks(tree, basis):
@@ -30,3 +36,25 @@ def test_sign_bug_reaches_fast_and_dense_paths_alike():
     checks = _checks(tree, broken)
     assert checks["gram_identity"][0] > checks["gram_identity"][1]
     assert checks["transform_dense_equivalence"][0] <= 1e-12
+
+
+def test_small_trees_compare_potential_evolution_with_the_dense_propagator():
+    tree = random_tree(np.random.default_rng(12), min_leaves=10, max_leaves=40)
+    kernel = random_kernel(np.random.default_rng(13), tree)
+    basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
+
+    def run(limit):
+        rng = np.random.default_rng(14)
+        checks = {name: (value, tol) for name, value, tol in
+                  unitarity_checks(tree, kernel, basis, spec, rng, dense_leaf_limit=limit)}
+        return checks, rng.random()
+
+    checks, after = run(64)
+    value, tol = checks["potential_dense_equivalence"]
+    assert tol == 1e-8
+    assert value <= tol
+    # above the dense limit the check neither runs nor draws from the stream
+    plain, plain_after = run(0)
+    assert "potential_dense_equivalence" not in plain
+    assert "spectral_dense_equivalence" not in plain
+    assert plain_after != after

@@ -277,6 +277,42 @@ def test_evolve_potential_mode_requires_potential(tree_file, kernel_file, tmp_pa
     assert rc == 2
 
 
+@pytest.mark.parametrize("mode", ["schrodinger", "potential"])
+def test_evolve_rejects_non_finite_initial_values(tree_file, kernel_file, tmp_path, capsys, mode):
+    initial = _write_initial(tmp_path, [1.0, float("nan"), 0.5, -0.5])
+    potential = tmp_path / "potential.csv"
+    potential.write_text(initial.read_text().replace("nan", "0.0"))
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--mode", mode, "--potential", str(potential),
+            "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert "leaf 'r.0.1' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evolve_rejects_non_finite_potential(tree_file, kernel_file, tmp_path, capsys):
+    initial = _write_initial(tmp_path, np.ones(4))
+    potential = tmp_path / "potential.csv"
+    with open(potential, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["leaf_id", "re", "im"])
+        for leaf, value in zip(["r.0.0", "r.0.1", "r.1.0", "r.1.1"], ["0", "0", "0", "inf"]):
+            writer.writerow([leaf, value, "0"])
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--mode", "potential", "--potential", str(potential),
+            "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert "leaf 'r.1.1' is not finite" in capsys.readouterr().err
+
+
 def test_evolve_bad_times_is_usage_error(tree_file, kernel_file, tmp_path):
     initial = _write_initial(tmp_path, np.ones(4))
     rc = main(

@@ -9,7 +9,8 @@ from ultrawave.certify import (
     random_mean_zero_packet,
     random_tree,
 )
-from ultrawave.evolution import free_propagator
+from ultrawave import evolution
+from ultrawave.evolution import free_propagator, lanczos_expm, real_matvec
 
 
 def _packet(tree, kernel, values):
@@ -223,6 +224,137 @@ def test_dense_propagator_matches_expm():
         via_eigh = propagator.schrodinger(values, t)
         via_expm = expm(-1j * t * matrix) @ values
         assert tree.norm(via_eigh - via_expm) <= 1e-8 * tree.norm(values)
+
+
+def test_real_matvec_matches_the_complex_product():
+    rng = np.random.default_rng(30)
+    matrix = rng.standard_normal((7, 5))
+    vector = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    np.testing.assert_allclose(real_matvec(matrix, vector), matrix @ vector, rtol=1e-15)
+
+
+class _CountingDense(uw.DensePropagator):
+    built = 0
+
+    def __init__(self, tree, matrix):
+        type(self).built += 1
+        super().__init__(tree, matrix)
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """Count DensePropagator constructions inside evolve_with_potential."""
+    monkeypatch.setattr(_CountingDense, "built", 0)
+    monkeypatch.setattr(evolution, "DensePropagator", _CountingDense)
+    return _CountingDense
+
+
+def _expm_states(tree, kernel, values, potential, times, hbar):
+    hamiltonian = hbar**2 * uw.dense_operator(tree, kernel).matrix + np.diag(potential)
+    return [expm(-1j * t * hamiltonian / hbar) @ values for t in times]
+
+
+def _assert_close(tree, got, want, values):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert tree.norm(g - w) <= 1e-8 * tree.norm(values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lanczos_potential_evolution_matches_expm(seed, dense_builds):
+    rng = np.random.default_rng([31, seed])
+    tree = random_tree(rng, min_leaves=20, max_leaves=120)
+    kernel = random_kernel(rng, tree)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    hbar = (1.0, 0.6, 1.3)[seed % 3]
+    # unsorted, repeated, zero and negative times
+    times = (0.6, -0.3, 0.0, 0.25, 0.6, -0.6)
+    config = uw.EvolutionConfig(times=times, hbar=hbar)
+    states = uw.evolve_with_potential(values, potential, tree, kernel, config)
+    assert dense_builds.built == 0
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, hbar), values)
+    np.testing.assert_allclose(states[2], values, rtol=0, atol=1e-14)
+
+
+def test_lanczos_with_zero_kernel_matches_expm(dense_builds):
+    rng = np.random.default_rng(32)
+    tree = random_tree(rng, min_leaves=30, max_leaves=60)
+    kernel = uw.constant_kernel(tree, 0.0)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-3.0, 3.0, tree.n_leaves)
+    times = (2.0, -1.0)
+    config = uw.EvolutionConfig(times=times, hbar=0.5)
+    states = uw.evolve_with_potential(values, potential, tree, kernel, config)
+    assert dense_builds.built == 0
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 0.5), values)
+
+
+def test_lanczos_on_two_leaves_matches_expm(lopsided_tree, dense_builds):
+    kernel = uw.constant_kernel(lopsided_tree, 1.5)
+    values = np.array([1.0 - 0.5j, 0.25 + 2.0j])
+    potential = np.array([0.3, -0.2])
+    times = (0.4, -0.3, 0.5)
+    config = uw.EvolutionConfig(times=times)
+    states = uw.evolve_with_potential(values, potential, lopsided_tree, kernel, config)
+    assert dense_builds.built == 0
+    want = _expm_states(lopsided_tree, kernel, values, potential, times, 1.0)
+    _assert_close(lopsided_tree, states, want, values)
+
+
+def _stiff_instance():
+    rng = np.random.default_rng(33)
+    tree = random_tree(rng, min_leaves=60, max_leaves=90)
+    kernel = random_kernel(rng, tree, low=50.0, high=100.0, zero_fraction=0.0)
+    return tree, kernel, random_leaf_values(rng, tree), rng.uniform(-5.0, 5.0, tree.n_leaves)
+
+
+def test_stiff_potential_evolution_takes_the_dense_route(dense_builds):
+    tree, kernel, values, potential = _stiff_instance()
+    times = (0.5, -0.2)
+    lam_max = max(uw.spectrum(tree, kernel).eigenvalues.values())
+    width = lam_max + np.ptp(potential)
+    assert width * 0.7 > tree.n_leaves
+    states = uw.evolve_with_potential(
+        values, potential, tree, kernel, uw.EvolutionConfig(times=times)
+    )
+    assert dense_builds.built == 1
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
+
+
+def test_lanczos_is_accurate_on_the_stiff_side_too():
+    tree, kernel, values, potential = _stiff_instance()
+    times = (0.5, -0.2)
+    basis = uw.build_basis(tree)
+    lam = uw.spectrum(tree, kernel).for_basis(basis)
+    root = np.sqrt(tree.leaf_measures)
+
+    def matvec(g):
+        return root * basis.synthesize(lam * basis.analyze(g / root)) + potential * g
+
+    states = [g / root for g in lanczos_expm(matvec, root * values, times)]
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
+
+
+def test_lanczos_of_the_zero_state_is_zero(binary_tree, binary_kernel):
+    states = uw.evolve_with_potential(
+        np.zeros(4), np.ones(4), binary_tree, binary_kernel, uw.EvolutionConfig(times=(1.0, -2.0))
+    )
+    for state in states:
+        np.testing.assert_array_equal(state, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_potential_evolution_rejects_non_finite_input(binary_tree, binary_kernel, bad):
+    config = uw.EvolutionConfig(times=(1.0,))
+    values = np.ones(4, dtype=complex)
+    values[2] = complex(0.0, bad)
+    with pytest.raises(ValueError, match=r"initial value at leaf 'r\.1\.0' is not finite"):
+        uw.evolve_with_potential(values, np.zeros(4), binary_tree, binary_kernel, config)
+    potential = np.zeros(4)
+    potential[3] = bad
+    with pytest.raises(ValueError, match=r"potential at leaf 'r\.1\.1' is not finite"):
+        uw.evolve_with_potential(np.ones(4), potential, binary_tree, binary_kernel, config)
 
 
 # -- localization ---------------------------------------------------------------
