@@ -579,7 +579,7 @@ def read_leaf_values(path, tree: BallTree) -> np.ndarray:
             seen[leaf] = complex(float(row["re"]), float(row.get("im") or 0.0))
     missing = [l for l in tree.leaves if l not in seen]
     if missing:
-        raise ValueError(f"initial-condition file is missing leaves: {missing[:5]!r}")
+        raise ValueError(f"{path} is missing leaves: {missing[:5]!r}")
     values = np.array([seen[l] for l in tree.leaves])
     _require_finite(tree, values, f"value in {path}")
     return values

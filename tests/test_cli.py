@@ -294,6 +294,21 @@ def test_evolve_rejects_non_finite_initial_values(tree_file, kernel_file, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def test_evolve_names_the_file_that_misses_a_leaf(tree_file, kernel_file, tmp_path, capsys):
+    initial = _write_initial(tmp_path, np.ones(4))
+    potential = tmp_path / "potential.csv"
+    potential.write_text("".join(initial.read_text().splitlines(keepends=True)[:-1]))
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--mode", "potential", "--potential", str(potential),
+            "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert f"{potential} is missing leaves: ['r.1.1']" in capsys.readouterr().err
+
+
 def test_evolve_rejects_non_finite_potential(tree_file, kernel_file, tmp_path, capsys):
     initial = _write_initial(tmp_path, np.ones(4))
     potential = tmp_path / "potential.csv"
