@@ -28,8 +28,8 @@ from .evolution import (
     check_localization,
     evolve_heat,
     evolve_schrodinger,
-    evolve_with_potential,
     free_propagator,
+    lanczos_evolve_with_potential,
     real_matvec,
     spacetime_product_check,
 )
@@ -220,18 +220,11 @@ def unitarity_checks(
 def _potential_deviation(
     tree: BallTree, kernel: SupKernel, rng: np.random.Generator
 ) -> float:
-    """Relative gap between ``evolve_with_potential`` and the dense propagator.
-
-    Random kernels and leaf measures stay below 1, so every eigenvalue is
-    below the total measure; with the potential in [-1, 1) and the time in
-    [0, 1) the evolution then normally takes the Lanczos route, the one
-    this compares.  A stiff pinned kernel compares the dense route with
-    itself.
-    """
+    """Relative gap between the Lanczos potential route and the dense propagator."""
     values = random_leaf_values(rng, tree)
     potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
     t = float(rng.uniform(0.0, 1.0))
-    (state,) = evolve_with_potential(
+    (state,) = lanczos_evolve_with_potential(
         values, potential, tree, kernel, EvolutionConfig(times=(t,))
     )
     hamiltonian = dense_operator(tree, kernel).matrix + np.diag(potential)

@@ -11,17 +11,19 @@ dense propagator, how a packet with nonzero mean leaks out.
 A real potential U couples the wavelets, so ``evolve_with_potential``
 applies exp(-i t H / hbar) with a Lanczos (Krylov) exponential: the
 product H f = hbar**2 * synthesize(lambda * analyze f) + U f costs O(n),
-and each substep grows an orthonormal Krylov basis until Saad's
-a-posteriori error estimate meets a fixed tolerance.  The number of
-products grows with the spectral width of H/hbar times the time span,
-which is bounded a priori by hbar * max(lambda) + (max U - min U) / hbar;
-when that bound times the span exceeds the number of leaves, the dense
-eigendecomposition is used instead.
+and each substep grows an orthonormal Krylov basis of the operator,
+shifted to a spectrum centred on 0, until Saad's a-posteriori error
+estimate meets a fixed tolerance.  The number of products grows with the
+spectral width of H/hbar times the time span, which is bounded a priori
+by hbar * max(lambda) + (max U - min U) / hbar.  The dense
+eigendecomposition costs O(n**3) whatever the width, so it is used
+instead when that bound times the span exceeds a measured 3e-4 * n**2,
+on trees of at most 4096 leaves.
 
 ``DensePropagator`` evolves leaf functions directly through an
 eigendecomposition of the measure-symmetrized operator matrix, with no
 reference to wavelets; it is the cross-check route for everything above
-and the fallback for stiff potential evolutions.
+and the potential route for small or stiff problems.
 """
 
 from __future__ import annotations
@@ -160,13 +162,59 @@ def evolve_with_potential(
 
     The generator is H = hbar**2 times the operator plus diag(potential);
     the state at time t is exp(-i t H / hbar) applied to the input, for
-    times of either sign in any order.  H / hbar has spectral width at most
-    hbar * max(lambda) + (max U - min U) / hbar.  When that width times
-    the time span covered from t = 0 is at most the number of leaves, the
-    states come from the Lanczos exponential on the O(n) wavelet product;
-    otherwise from the dense eigendecomposition, which is then cheaper.
-    Both preserve the norm to linear-algebra accuracy.
+    times of either sign in any order.  H / hbar has its spectrum in
+    [min U / hbar, hbar * max(lambda) + max U / hbar], whose width times
+    the time span covered from t = 0 sets the number of Lanczos products.
+    The dense eigendecomposition is used where it is measured to be
+    cheaper (``_dense_is_cheaper``), the Lanczos route
+    (``lanczos_evolve_with_potential``) everywhere else.  Both preserve
+    the norm to linear-algebra accuracy.
     """
+    v, u = _potential_inputs(tree, values, potential)
+    spec = build_spectrum(tree, kernel)
+    low, high = _spectral_bounds(spec, u, config.hbar)
+    if _dense_is_cheaper((high - low) * _time_span(config.times), tree.n_leaves):
+        hamiltonian = config.hbar**2 * dense_operator(tree, kernel).matrix + np.diag(u)
+        propagator = DensePropagator(tree, hamiltonian)
+        return [propagator.expm_apply(v, -1j * t / config.hbar) for t in config.times]
+    return _lanczos_route(tree, spec, v, u, config)
+
+
+def lanczos_evolve_with_potential(
+    values, potential, tree: BallTree, kernel: SupKernel, config: EvolutionConfig
+) -> list[np.ndarray]:
+    """``evolve_with_potential`` on its Lanczos route, whatever the width.
+
+    Small trees take the dense route in ``evolve_with_potential``; this
+    lets the Lanczos route be cross-checked against the dense propagator
+    there.
+    """
+    v, u = _potential_inputs(tree, values, potential)
+    return _lanczos_route(tree, build_spectrum(tree, kernel), v, u, config)
+
+
+def _lanczos_route(
+    tree: BallTree, spec: Spectrum, v: np.ndarray, u: np.ndarray, config: EvolutionConfig
+) -> list[np.ndarray]:
+    hbar = config.hbar
+    basis = build_basis(tree)
+    lam = hbar * spec.for_basis(basis)
+    root = np.sqrt(tree.leaf_measures)
+    # Lanczos runs on H / hbar - centre, whose spectrum is symmetric about 0:
+    # the Krylov basis does not depend on the shift, the error estimate does
+    centre = sum(_spectral_bounds(spec, u, hbar)) / 2
+    shift = u / hbar - centre
+
+    def matvec(g: np.ndarray) -> np.ndarray:
+        # H / hbar - centre conjugated by diag(sqrt(nu)): real symmetric
+        return root * basis.synthesize(lam * basis.analyze(g / root)) + shift * g
+
+    states = lanczos_expm(matvec, root * v, config.times)
+    return [np.exp(-1j * centre * t) * g / root for g, t in zip(states, config.times)]
+
+
+def _potential_inputs(tree: BallTree, values, potential) -> tuple[np.ndarray, np.ndarray]:
+    """Validated leaf values and real potential of a potential evolution."""
     u = np.asarray(potential)
     if u.shape != (tree.n_leaves,):
         raise ValueError(
@@ -178,24 +226,14 @@ def evolve_with_potential(
     v = tree.as_leaf_values(values)
     _require_finite(tree, v, "initial value")
     _require_finite(tree, u, "potential")
-    hbar = config.hbar
-    spec = build_spectrum(tree, kernel)
-    width = hbar * max(spec.eigenvalues.values(), default=0.0) + float(np.ptp(u)) / hbar
-    if width * _time_span(config.times) > tree.n_leaves:
-        hamiltonian = hbar**2 * dense_operator(tree, kernel).matrix + np.diag(u)
-        propagator = DensePropagator(tree, hamiltonian)
-        return [propagator.expm_apply(v, -1j * t / hbar) for t in config.times]
+    return v, u
 
-    basis = build_basis(tree)
-    lam = hbar * spec.for_basis(basis)
-    root = np.sqrt(tree.leaf_measures)
-    shift = u / hbar
 
-    def matvec(g: np.ndarray) -> np.ndarray:
-        # H / hbar conjugated by diag(sqrt(nu)): a real symmetric operator
-        return root * basis.synthesize(lam * basis.analyze(g / root)) + shift * g
-
-    return [g / root for g in lanczos_expm(matvec, root * v, config.times)]
+def _spectral_bounds(spec: Spectrum, u: np.ndarray, hbar: float) -> tuple[float, float]:
+    """Interval holding the spectrum of H / hbar (the operator is positive)."""
+    low = float(np.min(u)) / hbar
+    high = hbar * max(spec.eigenvalues.values(), default=0.0) + float(np.max(u)) / hbar
+    return low, high
 
 
 def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:
@@ -203,6 +241,22 @@ def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:
     if bad.size:
         leaf = tree.leaves[bad[0]]
         raise ValueError(f"{what} at leaf {leaf!r} is not finite: {values[bad[0]]}")
+
+
+#: Measured crossover of the two potential routes.  Lanczos takes up to
+#: about 1.7 products of O(n) per unit of width times span, the dense route
+#: O(n**3) whatever the width; at width times span = 3e-4 * n**2 the two
+#: took within a factor 1.3 of each other on binary and irregular trees
+#: of 2**9 to 2**12 leaves (CHANGES.md has the timings).
+_DENSE_CROSSOVER = 3e-4
+#: Largest tree sent to the dense route: it holds several n x n float
+#: arrays at once, over 0.5 GB each beyond this size.
+_DENSE_MAX_LEAVES = 4096
+
+
+def _dense_is_cheaper(width_span: float, n: int) -> bool:
+    """Whether the dense route beats Lanczos for width * time span on n leaves."""
+    return n <= _DENSE_MAX_LEAVES and width_span > _DENSE_CROSSOVER * n**2
 
 
 def _time_span(times) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 
 import ultrawave as uw
+from ultrawave import evolution
 from ultrawave.certify import (
     corrupt_basis_sign,
     orthonormality_checks,
@@ -8,6 +9,7 @@ from ultrawave.certify import (
     random_tree,
     unitarity_checks,
 )
+from ultrawave.evolution import lanczos_expm
 
 
 def _checks(tree, basis):
@@ -38,10 +40,17 @@ def test_sign_bug_reaches_fast_and_dense_paths_alike():
     assert checks["transform_dense_equivalence"][0] <= 1e-12
 
 
-def test_small_trees_compare_potential_evolution_with_the_dense_propagator():
+def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monkeypatch):
     tree = random_tree(np.random.default_rng(12), min_leaves=10, max_leaves=40)
     kernel = random_kernel(np.random.default_rng(13), tree)
     basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
+    lanczos_runs = []
+
+    def counting(*args):
+        lanczos_runs.append(args)
+        return lanczos_expm(*args)
+
+    monkeypatch.setattr(evolution, "lanczos_expm", counting)
 
     def run(limit):
         rng = np.random.default_rng(14)
@@ -53,6 +62,8 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator():
     value, tol = checks["potential_dense_equivalence"]
     assert tol == 1e-8
     assert value <= tol
+    # the comparison runs the Lanczos route, not the dense one twice
+    assert len(lanczos_runs) == 1
     # above the dense limit the check neither runs nor draws from the stream
     plain, plain_after = run(0)
     assert "potential_dense_equivalence" not in plain

@@ -10,7 +10,7 @@ from ultrawave.certify import (
     random_tree,
 )
 from ultrawave import evolution
-from ultrawave.evolution import free_propagator, lanczos_expm, real_matvec
+from ultrawave.evolution import free_propagator, lanczos_evolve_with_potential, real_matvec
 
 
 def _packet(tree, kernel, values):
@@ -261,7 +261,7 @@ def _assert_close(tree, got, want, values):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_lanczos_potential_evolution_matches_expm(seed, dense_builds):
+def test_lanczos_potential_evolution_matches_expm(seed):
     rng = np.random.default_rng([31, seed])
     tree = random_tree(rng, min_leaves=20, max_leaves=120)
     kernel = random_kernel(rng, tree)
@@ -271,13 +271,12 @@ def test_lanczos_potential_evolution_matches_expm(seed, dense_builds):
     # unsorted, repeated, zero and negative times
     times = (0.6, -0.3, 0.0, 0.25, 0.6, -0.6)
     config = uw.EvolutionConfig(times=times, hbar=hbar)
-    states = uw.evolve_with_potential(values, potential, tree, kernel, config)
-    assert dense_builds.built == 0
+    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, hbar), values)
     np.testing.assert_allclose(states[2], values, rtol=0, atol=1e-14)
 
 
-def test_lanczos_with_zero_kernel_matches_expm(dense_builds):
+def test_lanczos_with_zero_kernel_matches_expm():
     rng = np.random.default_rng(32)
     tree = random_tree(rng, min_leaves=30, max_leaves=60)
     kernel = uw.constant_kernel(tree, 0.0)
@@ -285,21 +284,50 @@ def test_lanczos_with_zero_kernel_matches_expm(dense_builds):
     potential = rng.uniform(-3.0, 3.0, tree.n_leaves)
     times = (2.0, -1.0)
     config = uw.EvolutionConfig(times=times, hbar=0.5)
-    states = uw.evolve_with_potential(values, potential, tree, kernel, config)
-    assert dense_builds.built == 0
+    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 0.5), values)
 
 
-def test_lanczos_on_two_leaves_matches_expm(lopsided_tree, dense_builds):
+def test_lanczos_on_two_leaves_matches_expm(lopsided_tree):
     kernel = uw.constant_kernel(lopsided_tree, 1.5)
     values = np.array([1.0 - 0.5j, 0.25 + 2.0j])
     potential = np.array([0.3, -0.2])
     times = (0.4, -0.3, 0.5)
     config = uw.EvolutionConfig(times=times)
-    states = uw.evolve_with_potential(values, potential, lopsided_tree, kernel, config)
-    assert dense_builds.built == 0
+    states = lanczos_evolve_with_potential(values, potential, lopsided_tree, kernel, config)
     want = _expm_states(lopsided_tree, kernel, values, potential, times, 1.0)
     _assert_close(lopsided_tree, states, want, values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_under_a_large_constant_potential_matches_expm(seed):
+    # the error estimate depends on where the spectrum sits, the error does not
+    rng = np.random.default_rng([34, seed])
+    tree = random_tree(rng, min_leaves=20, max_leaves=60)
+    kernel = random_kernel(rng, tree)
+    values = random_leaf_values(rng, tree)
+    potential = 1e6 + rng.uniform(-1.0, 1.0, tree.n_leaves)
+    times = (3.0, -1.0, 0.5)
+    config = uw.EvolutionConfig(times=times)
+    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
+
+
+def test_large_mild_problem_takes_the_lanczos_route(dense_builds):
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    rng = np.random.default_rng(35)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    times = (0.5, -0.3)
+    lam_max = max(uw.spectrum(tree, kernel).eigenvalues.values())
+    width = lam_max + np.ptp(potential)
+    assert width * 0.8 <= evolution._DENSE_CROSSOVER * tree.n_leaves**2
+    states = uw.evolve_with_potential(
+        values, potential, tree, kernel, uw.EvolutionConfig(times=times)
+    )
+    assert dense_builds.built == 0
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
 
 
 def _stiff_instance():
@@ -314,7 +342,7 @@ def test_stiff_potential_evolution_takes_the_dense_route(dense_builds):
     times = (0.5, -0.2)
     lam_max = max(uw.spectrum(tree, kernel).eigenvalues.values())
     width = lam_max + np.ptp(potential)
-    assert width * 0.7 > tree.n_leaves
+    assert width * 0.7 > 10 * evolution._DENSE_CROSSOVER * tree.n_leaves**2
     states = uw.evolve_with_potential(
         values, potential, tree, kernel, uw.EvolutionConfig(times=times)
     )
@@ -325,19 +353,22 @@ def test_stiff_potential_evolution_takes_the_dense_route(dense_builds):
 def test_lanczos_is_accurate_on_the_stiff_side_too():
     tree, kernel, values, potential = _stiff_instance()
     times = (0.5, -0.2)
-    basis = uw.build_basis(tree)
-    lam = uw.spectrum(tree, kernel).for_basis(basis)
-    root = np.sqrt(tree.leaf_measures)
-
-    def matvec(g):
-        return root * basis.synthesize(lam * basis.analyze(g / root)) + potential * g
-
-    states = [g / root for g in lanczos_expm(matvec, root * values, times)]
+    config = uw.EvolutionConfig(times=times)
+    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
 
 
+def test_dense_route_is_bounded_in_size():
+    crossover = evolution._DENSE_CROSSOVER
+    assert not evolution._dense_is_cheaper(crossover * 2048**2, 2048)
+    assert evolution._dense_is_cheaper(2 * crossover * 2048**2, 2048)
+    # beyond the largest size its n x n arrays are not affordable, however stiff
+    n = evolution._DENSE_MAX_LEAVES + 1
+    assert not evolution._dense_is_cheaper(1e300, n)
+
+
 def test_lanczos_of_the_zero_state_is_zero(binary_tree, binary_kernel):
-    states = uw.evolve_with_potential(
+    states = lanczos_evolve_with_potential(
         np.zeros(4), np.ones(4), binary_tree, binary_kernel, uw.EvolutionConfig(times=(1.0, -2.0))
     )
     for state in states:
