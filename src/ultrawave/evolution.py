@@ -245,8 +245,8 @@ def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:
 
 #: Measured crossover of the two potential routes.  Lanczos takes up to
 #: about 1.7 products of O(n) per unit of width times span, the dense route
-#: O(n**3) whatever the width; at width times span = 3e-4 * n**2 the two
-#: took within a factor 1.3 of each other on binary and irregular trees
+#: O(n**3) whatever the width; at width times span = 3e-4 * n**2 Lanczos
+#: took 0.55 to 1.27 times the dense time on binary and irregular trees
 #: of 2**9 to 2**12 leaves (CHANGES.md has the timings).
 _DENSE_CROSSOVER = 3e-4
 #: Largest tree sent to the dense route: it holds several n x n float
