@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_tree import BallTree
+from .ball_tree import BallTree, _csv_fields, _require_finite, _write_csv
 from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, symmetrized
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
@@ -68,7 +68,10 @@ class WavePacket:
     def from_leaf_values(
         cls, basis: WaveletBasis, spectrum: Spectrum, values
     ) -> "WavePacket":
-        return cls(coefficients=basis.analyze(values), basis=basis, spectrum=spectrum)
+        """Expand leaf values over the basis; non-finite values are rejected."""
+        v = basis.tree.as_leaf_values(values)
+        _require_finite(basis.tree, v, "leaf value")
+        return cls(coefficients=basis.analyze(v), basis=basis, spectrum=spectrum)
 
     def leaf_values(self) -> np.ndarray:
         return self.basis.synthesize(self.coefficients)
@@ -234,13 +237,6 @@ def _spectral_bounds(spec: Spectrum, u: np.ndarray, hbar: float) -> tuple[float,
     low = float(np.min(u)) / hbar
     high = hbar * max(spec.eigenvalues.values(), default=0.0) + float(np.max(u)) / hbar
     return low, high
-
-
-def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        leaf = tree.leaves[bad[0]]
-        raise ValueError(f"{what} at leaf {leaf!r} is not finite: {values[bad[0]]}")
 
 
 #: Measured crossover of the two potential routes.  Lanczos takes up to
@@ -462,9 +458,11 @@ def check_localization(
 
     A packet that is not mean zero is reported as a precondition failure
     rather than an error; with ``demonstrate_leakage`` the dense propagator
-    is run to exhibit the mass actually escaping B.
+    is run to exhibit the mass actually escaping B.  Non-finite values
+    raise ``ValueError`` naming the leaf.
     """
     v = tree.as_leaf_values(values)
+    _require_finite(tree, v, "initial value")
     if basis is None:
         basis = build_basis(tree)
     if spec is None:
@@ -640,22 +638,28 @@ def read_leaf_values(path, tree: BallTree) -> np.ndarray:
 
 
 def write_trajectory(path, tree: BallTree, times, states) -> None:
-    """Per-time leaf values: columns time, leaf_id, re, im, abs2."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "leaf_id", "re", "im", "abs2"])
+    """Per-time leaf values: columns time, leaf_id, re, im, abs2.
+
+    ``abs2`` is ``abs(z) ** 2``, ``inf`` where that overflows.  Leaf ids are
+    quoted once and each time is formatted once, not once per row.
+    """
+    leaves = _csv_fields(tree.leaves)
+
+    def lines():
         for t, state in zip(times, states):
-            v = tree.as_leaf_values(state)
-            for leaf, value in zip(tree.leaves, v):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        leaf,
-                        repr(float(value.real)),
-                        repr(float(value.imag)),
-                        repr(float(abs(value) ** 2)),
-                    ]
-                )
+            time = repr(float(t))
+            for leaf, z in zip(leaves, tree.as_leaf_values(state).tolist()):
+                yield f"{time},{leaf},{z.real!r},{z.imag!r},{_abs2(z)!r}"
+
+    _write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], lines())
+
+
+def _abs2(z: complex) -> float:
+    """pow(|z|, 2), bit for bit, with ``inf`` where it overflows."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def write_summary(path, tree: BallTree, times, states, reference_ball: str | None) -> None:
@@ -671,19 +675,15 @@ def write_summary(path, tree: BallTree, times, states, reference_ball: str | Non
         if reference_ball is not None
         else np.zeros(tree.n_leaves, dtype=bool)
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"])
-        for t, state in zip(times, states):
-            v = tree.as_leaf_values(state)
-            m = mean(tree, v)
-            writer.writerow(
-                [
-                    repr(float(t)),
-                    repr(tree.norm(v)),
-                    repr(float(m.real)),
-                    repr(float(m.imag)),
-                    repr(_masked_norm(tree, v, outside)),
-                    tree.ball_support(v) or "empty",
-                ]
-            )
+    lines = []
+    for t, state in zip(times, states):
+        v = tree.as_leaf_values(state)
+        m = mean(tree, v)
+        (support,) = _csv_fields([tree.ball_support(v) or "empty"])
+        lines.append(
+            f"{float(t)!r},{tree.norm(v)!r},{m.real!r},{m.imag!r},"
+            f"{_masked_norm(tree, v, outside)!r},{support}"
+        )
+    _write_csv(
+        path, ["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"], lines
+    )

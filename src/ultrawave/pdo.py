@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ball_tree import BallTree
+from .ball_tree import BallTree, _csv_fields, _write_csv
 from .wavelet import WaveletBasis
 
 
@@ -266,17 +266,11 @@ def verify_spectrum(
 
 def write_spectrum(path, tree: BallTree, spec: Spectrum) -> None:
     """Export as CSV columns ball_id, p_I, lambda (internal balls, tree order)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ball_id", "p_I", "lambda"])
-        for ball_id in tree.internal:
-            writer.writerow(
-                [
-                    ball_id,
-                    len(tree.ball(ball_id).children),
-                    repr(float(spec.eigenvalues[ball_id])),
-                ]
-            )
+    lines = (
+        f"{field},{len(tree.ball(ball_id).children)},{float(spec.eigenvalues[ball_id])!r}"
+        for field, ball_id in zip(_csv_fields(tree.internal), tree.internal)
+    )
+    _write_csv(path, ["ball_id", "p_I", "lambda"], lines)
 
 
 def read_spectrum(path) -> dict[str, float]:

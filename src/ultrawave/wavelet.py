@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball_tree import BallTree
+from .ball_tree import BallTree, _csv_fields, _write_csv
 
 #: Index label used for the constant basis element in coefficient CSVs.
 CONSTANT_LABEL = "const"
@@ -328,13 +328,12 @@ def write_coefficients(path, basis: WaveletBasis, coefficients) -> None:
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (basis.size,):
         raise ValueError(f"expected {basis.size} coefficients, got shape {c.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ball_id", "index", "re", "im"])
-        for (ball_id, index), value in zip(basis.labels, c):
-            writer.writerow(
-                [ball_id, index, repr(float(value.real)), repr(float(value.imag))]
-            )
+    ball_ids, indices = zip(*basis.labels)
+    lines = (
+        f"{ball_id},{index},{z.real!r},{z.imag!r}"
+        for ball_id, index, z in zip(_csv_fields(ball_ids), _csv_fields(indices), c.tolist())
+    )
+    _write_csv(path, ["ball_id", "index", "re", "im"], lines)
 
 
 def read_coefficients(path, basis: WaveletBasis) -> np.ndarray:

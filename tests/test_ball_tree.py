@@ -245,6 +245,12 @@ def test_ball_support_wavelet_is_its_ball(binary_tree):
         assert binary_tree.ball_support(wavelet.vector) == wavelet.ball
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ball_support_rejects_non_finite_values(binary_tree, bad):
+    with pytest.raises(ValueError, match=r"value at leaf 'r\.1\.0' is not finite"):
+        binary_tree.ball_support([1.0, -1.0, bad, 0.0])
+
+
 def test_ball_support_rejects_negative_tol(binary_tree):
     with pytest.raises(ValueError, match="nonnegative"):
         binary_tree.ball_support(np.ones(4), tol=-1.0)

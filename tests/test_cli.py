@@ -163,6 +163,22 @@ def test_spectrum_deterministic_output(tree_file, kernel_file, tmp_path):
 # -- evolve ---------------------------------------------------------------------
 
 
+def test_evolve_deterministic_output(tree_file, kernel_file, tmp_path):
+    initial = _write_initial(tmp_path, [1.0, -1.0, 0.25j, -0.25j])
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        rc = main(
+            [
+                "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+                "--initial", str(initial), "--mode", "schrodinger",
+                "--times=-1.5,0,0.3,2.0", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+    for name in ("trajectory.csv", "summary.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_evolve_wavelet_norm_is_constant(tree_file, kernel_file, tmp_path):
     tree = uw.build_tree(uw.padic_preset(2, 2, 1.0))
     wavelet = uw.build_basis(tree).wavelets[1]  # eigenvalue 1.5

@@ -1,0 +1,201 @@
+"""The CSV writers give exactly the bytes of a per-row ``csv.writer``.
+
+Each ``_reference_*`` function below is the plain row-by-row writer the
+artifacts were defined by; the library formats whole blocks at a time and
+must match it byte for byte, including quoting of awkward ids and the
+last bit of every float.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+import ultrawave as uw
+from ultrawave.ball_tree import BallSpec, TreeSpec
+from ultrawave.evolution import write_summary, write_trajectory
+from ultrawave.pdo import Spectrum, write_spectrum
+from ultrawave.wavelet import write_coefficients
+
+
+def _reference_trajectory(path, tree, times, states):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "leaf_id", "re", "im", "abs2"])
+        for t, state in zip(times, states):
+            v = tree.as_leaf_values(state)
+            for leaf, value in zip(tree.leaves, v):
+                writer.writerow(
+                    [
+                        repr(float(t)),
+                        leaf,
+                        repr(float(value.real)),
+                        repr(float(value.imag)),
+                        repr(float(abs(value) ** 2)),
+                    ]
+                )
+
+
+def _reference_summary(path, tree, times, states, reference_ball):
+    outside = np.zeros(tree.n_leaves, dtype=bool)
+    if reference_ball is not None:
+        outside[:] = True
+        outside[tree.leaf_slice(reference_ball)] = False
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"])
+        for t, state in zip(times, states):
+            v = tree.as_leaf_values(state)
+            m = uw.mean(tree, v)
+            masked = float(np.sqrt(np.sum(np.abs(v[outside]) ** 2 * tree.leaf_measures[outside])))
+            writer.writerow(
+                [
+                    repr(float(t)),
+                    repr(tree.norm(v)),
+                    repr(float(m.real)),
+                    repr(float(m.imag)),
+                    repr(masked),
+                    tree.ball_support(v) or "empty",
+                ]
+            )
+
+
+def _reference_spectrum(path, tree, spec):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ball_id", "p_I", "lambda"])
+        for ball_id in tree.internal:
+            writer.writerow(
+                [ball_id, len(tree.ball(ball_id).children), repr(float(spec.eigenvalues[ball_id]))]
+            )
+
+
+def _reference_coefficients(path, basis, coefficients):
+    c = np.asarray(coefficients, dtype=complex)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ball_id", "index", "re", "im"])
+        for (ball_id, index), value in zip(basis.labels, c):
+            writer.writerow([ball_id, index, repr(float(value.real)), repr(float(value.imag))])
+
+
+#: Ids that csv quotes (comma, quote, CR, LF) or must leave alone (leading
+#: space, non-ASCII, the empty string).
+ODD_IDS = ("r,oot", ' lead', 'say "hi"', "cr\rlf\n", "ünï ☃", "", '"', "a,b\r\n\"c\"")
+
+
+@pytest.fixture
+def odd_tree():
+    root, lead, quote, crlf, uni, empty, bare, mixed = ODD_IDS
+    spec = TreeSpec(
+        balls=(
+            BallSpec(root, None, 1.0),
+            BallSpec(lead, root, 0.5),
+            BallSpec(uni, root, 0.5),
+            BallSpec(bare, root, 0.5),
+            BallSpec(quote, lead, 0.25),
+            BallSpec(crlf, lead, 0.25),
+            BallSpec(empty, uni, 0.25),
+            BallSpec(mixed, uni, 0.25),
+        ),
+        leaf_measures={quote: 0.1, crlf: 0.2, empty: 0.3, mixed: 0.15, bare: 0.25},
+    )
+    return uw.build_tree(spec)
+
+
+def _pow_differs_from_product(count):
+    """Complex values z with pow(|z|, 2) != |z| * |z| in the last bit."""
+    rng = np.random.default_rng(5)
+    found = []
+    while len(found) < count:
+        z = complex(rng.normal(), rng.normal())
+        if abs(z) ** 2 != abs(z) * abs(z):
+            found.append(z)
+    return found
+
+
+#: Awkward floats: signed zeros, the smallest subnormal, a value repr
+#: writes with an exponent, large and negative values, and |z| ~ 1e200,
+#: whose abs2 overflows to inf.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, math.pi, 2.2250738585072014e-308]
+HUGE = [1e200 + 1e199j, -1e200j, complex(1.7976931348623157e308, 0.0)]
+
+
+def _states(n):
+    values = [complex(a, b) for a in SPECIAL for b in SPECIAL] + HUGE + _pow_differs_from_product(40)
+    values += [complex(math.inf, 0.0), complex(math.nan, -0.0), complex(-math.inf, math.inf)]
+    values += values[: -len(values) % n]
+    return [np.array(values[i : i + n]) for i in range(0, len(values), n)]
+
+
+TIMES = [-2.5, -0.0, 0.0, 5e-324, 1e-5, 1e16, -1e16, 0.1]
+
+
+def _assert_same_bytes(write, reference, tmp_path, *args):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        write(ours, *args)
+        reference(theirs, *args)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_trajectory_bytes_match_csv_writer(odd_tree, tmp_path):
+    states = _states(odd_tree.n_leaves) * 3  # over 256 lines: several writes
+    times = (TIMES * len(states))[: len(states)]
+    _assert_same_bytes(
+        write_trajectory, _reference_trajectory, tmp_path, odd_tree, times, states
+    )
+    assert b",1e+200,1e+199,inf\r\n" in (tmp_path / "ours.csv").read_bytes()
+
+
+def test_trajectory_abs2_is_pow_not_product(binary_tree, tmp_path):
+    values = _pow_differs_from_product(binary_tree.n_leaves)
+    write_trajectory(tmp_path / "t.csv", binary_tree, [0.0], [np.array(values)])
+    with open(tmp_path / "t.csv", newline="") as fh:
+        abs2 = [float(row["abs2"]) for row in csv.DictReader(fh)]
+    assert abs2 == [abs(z) ** 2 for z in values]
+    assert all(a != abs(z) * abs(z) for a, z in zip(abs2, values))
+
+
+def test_summary_bytes_match_csv_writer(odd_tree, tmp_path):
+    states = [s for s in _states(odd_tree.n_leaves) if np.all(np.isfinite(s))]
+    states.append(np.zeros(odd_tree.n_leaves))
+    times = (TIMES * len(states))[: len(states)]
+    for reference_ball in (None, ODD_IDS[1], ODD_IDS[3]):
+        _assert_same_bytes(
+            write_summary, _reference_summary, tmp_path, odd_tree, times, states, reference_ball
+        )
+
+
+def test_spectrum_bytes_match_csv_writer(odd_tree, tmp_path):
+    values = SPECIAL + [1e200, math.inf, math.nan]
+    for shift in range(len(values)):
+        eigenvalues = {
+            ball: values[(shift + k) % len(values)] for k, ball in enumerate(odd_tree.internal)
+        }
+        _assert_same_bytes(
+            write_spectrum, _reference_spectrum, tmp_path, odd_tree, Spectrum(eigenvalues)
+        )
+
+
+def test_coefficient_bytes_match_csv_writer(odd_tree, tmp_path):
+    basis = uw.build_basis(odd_tree)
+    for coefficients in _states(basis.size):
+        _assert_same_bytes(
+            write_coefficients, _reference_coefficients, tmp_path, basis, coefficients
+        )
+
+
+def test_writers_match_csv_writer_across_writes(tmp_path):
+    """Files of one, two and several writes of 256 lines each."""
+    rng = np.random.default_rng(9)
+    tree = uw.build_tree(uw.padic_preset(2, 9))  # 512 leaves, 511 internal balls
+    basis = uw.build_basis(tree)
+    spec = uw.spectrum(tree, uw.vladimirov_kernel(tree, 0.5))
+    values = rng.normal(size=(3, 512)) + 1j * rng.normal(size=(3, 512))
+    _assert_same_bytes(write_spectrum, _reference_spectrum, tmp_path, tree, spec)
+    _assert_same_bytes(write_coefficients, _reference_coefficients, tmp_path, basis, values[0])
+    for count in (0, 1, 3):
+        times, states = [0.5, -1.0, 2.0][:count], list(values[:count])
+        _assert_same_bytes(write_trajectory, _reference_trajectory, tmp_path, tree, times, states)

@@ -388,7 +388,20 @@ def test_potential_evolution_rejects_non_finite_input(binary_tree, binary_kernel
         uw.evolve_with_potential(np.ones(4), potential, binary_tree, binary_kernel, config)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wave_packet_rejects_non_finite_values(binary_tree, binary_kernel, bad):
+    with pytest.raises(ValueError, match=r"leaf value at leaf 'r\.1\.0' is not finite"):
+        _packet(binary_tree, binary_kernel, [1.0, -1.0, bad, 0.0])
+
+
 # -- localization ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_localization_rejects_non_finite_values(binary_tree, binary_kernel, bad):
+    config = uw.EvolutionConfig(times=(1.0,))
+    with pytest.raises(ValueError, match=r"initial value at leaf 'r\.1\.0' is not finite"):
+        uw.check_localization([1.0, -1.0, bad, 0.0], binary_tree, binary_kernel, config)
 
 
 def test_wavelet_stays_in_its_ball(binary_tree, binary_kernel):
