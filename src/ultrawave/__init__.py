@@ -27,7 +27,6 @@ from .evolution import (
     spacetime_product_check,
 )
 from .pdo import (
-    DenseOperator,
     Spectrum,
     SpectrumVerification,
     SupKernel,
@@ -48,7 +47,6 @@ __all__ = [
     "Ball",
     "BallSpec",
     "BallTree",
-    "DenseOperator",
     "DensePropagator",
     "EvolutionConfig",
     "InvalidTreeError",

@@ -230,8 +230,8 @@ class BallTree:
         mags = np.abs(v)
         if tol is None:
             tol = 1e-12 * float(mags.max(initial=0.0))
-        if tol < 0:
-            raise ValueError("support threshold must be nonnegative")
+        if not tol >= 0:
+            raise ValueError(f"support threshold must be nonnegative, got {tol}")
         idx = np.nonzero(mags > tol)[0]
         if idx.size == 0:
             return None

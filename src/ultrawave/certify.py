@@ -148,7 +148,9 @@ def orthonormality_checks(
     basis: WaveletBasis,
     rng: np.random.Generator,
 ) -> list[Check]:
-    gram_dev = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
+    gram = basis.gram()
+    gram[np.diag_indices_from(gram)] -= 1.0
+    gram_dev = float(np.abs(gram, out=gram).max())
     count_dev = float(abs(basis.size - tree.n_leaves))
     return [
         ("gram_identity", gram_dev, 1e-10),
@@ -163,8 +165,9 @@ def _transform_deviation(
     """Relative gap between the fast transforms and products with ``matrix``."""
     values = random_leaf_values(rng, tree)
     coefficients = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    dense_coefficients = real_matvec(basis.matrix, values * tree.leaf_measures)
-    dense_values = real_matvec(basis.matrix.T, coefficients)
+    matrix = basis.matrix
+    dense_coefficients = real_matvec(matrix, values * tree.leaf_measures)
+    dense_values = real_matvec(matrix.T, coefficients)
     analyze_gap = np.linalg.norm(basis.analyze(values) - dense_coefficients) / max(
         float(np.linalg.norm(dense_coefficients)), _TINY
     )
@@ -227,7 +230,7 @@ def _potential_deviation(
     (state,) = lanczos_evolve_with_potential(
         values, potential, tree, kernel, EvolutionConfig(times=(t,))
     )
-    hamiltonian = dense_operator(tree, kernel).matrix + np.diag(potential)
+    hamiltonian = dense_operator(tree, kernel) + np.diag(potential)
     dense_state = DensePropagator(tree, hamiltonian).schrodinger(values, t)
     return tree.norm(state - dense_state) / max(tree.norm(values), _TINY)
 
@@ -416,6 +419,8 @@ def run_certification(
     random tree in every instance; kernels still vary unless pinned.
     ``inject`` applies a deliberate corruption so the run must fail.
     """
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0, got {instances}")
     if inject is not None and inject not in INJECTIONS:
         raise ValueError(f"unknown injection {inject!r}; options: {INJECTIONS}")
     if kernel is not None and tree_spec is None:

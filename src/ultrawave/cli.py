@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     tree = build_tree(load_tree_spec(args.tree))
     kernel = _kernel_for(args, tree)
     spec = spectrum(tree, kernel)
@@ -89,7 +92,7 @@ def cmd_spectrum(args) -> int:
         for ball_id in tree.internal:
             want = expected.get(ball_id)
             have = spec.eigenvalues[ball_id]
-            if want is None or abs(want - have) > args.tol * max(1.0, abs(have)):
+            if want is None or not abs(want - have) <= args.tol * max(1.0, abs(have)):
                 mismatches.append(ball_id)
         if mismatches:
             print(f"spectrum mismatch against {args.expected}: {mismatches[:5]!r}")

@@ -155,7 +155,7 @@ class DensePropagator:
 
 def free_propagator(tree: BallTree, kernel: SupKernel) -> DensePropagator:
     """Dense propagator of the bare operator, for cross-checking."""
-    return DensePropagator(tree, dense_operator(tree, kernel).matrix)
+    return DensePropagator(tree, dense_operator(tree, kernel))
 
 
 def evolve_with_potential(
@@ -177,7 +177,7 @@ def evolve_with_potential(
     spec = build_spectrum(tree, kernel)
     low, high = _spectral_bounds(spec, u, config.hbar)
     if _dense_is_cheaper((high - low) * _time_span(config.times), tree.n_leaves):
-        hamiltonian = config.hbar**2 * dense_operator(tree, kernel).matrix + np.diag(u)
+        hamiltonian = config.hbar**2 * dense_operator(tree, kernel) + np.diag(u)
         propagator = DensePropagator(tree, hamiltonian)
         return [propagator.expm_apply(v, -1j * t / config.hbar) for t in config.times]
     return _lanczos_route(tree, spec, v, u, config)
@@ -590,8 +590,8 @@ def spacetime_product_check(
     u = _wavelet_vector(tree_x, ball_x, index_x)
     v = _wavelet_vector(tree_t, ball_t, index_t)
     grid = np.outer(u, v)
-    m_x = dense_operator(tree_x, kernel_x).matrix
-    m_t = dense_operator(tree_t, kernel_t).matrix
+    m_x = dense_operator(tree_x, kernel_x)
+    m_t = dense_operator(tree_t, kernel_t)
     residual = (grid @ m_t.T) / lam_t - (m_x @ grid) / lam_x
     weights = np.outer(tree_x.leaf_measures, tree_t.leaf_measures)
     norm = float(np.sqrt(np.sum(np.abs(grid) ** 2 * weights)))

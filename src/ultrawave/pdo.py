@@ -12,8 +12,11 @@ ball.  On a finite tree the ancestor sum is finite, so no summability
 condition arises.
 
 ``dense_operator`` builds the full leaf-by-leaf matrix straight from the
-pair definition, with no reference to wavelets or the eigenvalue sum; it is
-the independent oracle ``verify_spectrum`` uses to certify the closed form.
+pair definition, with no reference to wavelets or the eigenvalue sum.
+``verify_spectrum`` certifies the closed form against the same definition:
+it builds the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1 from
+the pairs into one buffer, compares its eigenvalues with the analytic
+multiset, and takes each wavelet's residual in sqrt(nu) coordinates.
 """
 
 from __future__ import annotations
@@ -50,20 +53,6 @@ class Spectrum:
         """Eigenvalue per basis element, in basis order (constant last)."""
         per_ball = np.array([self.eigenvalues[b] for b in basis.tree.internal], dtype=float)
         return np.append(per_ball[basis.plan.ball], self.constant_eigenvalue)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Leaf-by-leaf matrix realization of the operator.
-
-    Rows sum to zero (constants are killed) and the matrix is self-adjoint
-    under the measure-weighted inner product: nu(x) M[x,y] = nu(y) M[y,x].
-    """
-
-    matrix: np.ndarray
-
-    def apply(self, values) -> np.ndarray:
-        return self.matrix @ np.asarray(values)
 
 
 def make_kernel(tree: BallTree, values: Mapping[str, float]) -> SupKernel:
@@ -151,13 +140,8 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     return Spectrum(eigenvalues=eigs)
 
 
-def dense_operator(tree: BallTree, kernel: SupKernel) -> DenseOperator:
-    """Leaf matrix from the pair definition.
-
-    M[x, y] = -T(sup(x, y)) nu(y) off the diagonal and the negated row sum
-    on it.  Exact for leaf functions: within a single leaf f(x) - f(y)
-    vanishes, so no quadrature is involved.
-    """
+def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
+    """The n-by-n matrix T(sup(x, y)) over leaf pairs."""
     n = tree.n_leaves
     sup_kernel = np.zeros((n, n))
     # depth-first preorder visits parents before children, so the deepest
@@ -165,10 +149,22 @@ def dense_operator(tree: BallTree, kernel: SupKernel) -> DenseOperator:
     for ball_id in tree.internal:
         sl = tree.leaf_slice(ball_id)
         sup_kernel[sl, sl] = kernel[ball_id]
-    weighted = sup_kernel * tree.leaf_measures
+    return sup_kernel
+
+
+def dense_operator(tree: BallTree, kernel: SupKernel) -> np.ndarray:
+    """Leaf-by-leaf matrix M of the operator, from the pair definition.
+
+    M[x, y] = -T(sup(x, y)) nu(y) off the diagonal and the negated row sum
+    on it.  Exact for leaf functions: within a single leaf f(x) - f(y)
+    vanishes, so no quadrature is involved.  Rows sum to zero (constants
+    are killed) and M is self-adjoint under the measure-weighted inner
+    product: nu(x) M[x,y] = nu(y) M[y,x].
+    """
+    weighted = _sup_kernel(tree, kernel) * tree.leaf_measures
     matrix = -weighted
     np.fill_diagonal(matrix, weighted.sum(axis=1) - weighted.diagonal())
-    return DenseOperator(matrix=matrix)
+    return matrix
 
 
 def symmetrized(tree: BallTree, matrix: np.ndarray) -> np.ndarray:
@@ -224,18 +220,33 @@ def verify_spectrum(
     residual_tol: float = 1e-10,
     multiset_tol: float = 1e-8,
 ) -> SpectrumVerification:
-    """Check every basis element against the dense matrix.
+    """Check every basis element against the operator's dense matrix.
 
     Two independent comparisons: the eigenrelation residual
-    ||M psi - lambda psi|| / max(1, ||M|| ||psi||) per basis element, and
-    equality of the numerically computed eigenvalue multiset with the
+    ||M psi - lambda psi||_nu / max(1, ||M|| ||psi||_nu) per basis element,
+    and equality of the numerically computed eigenvalue multiset with the
     analytic multiset (each ball's eigenvalue repeated once per wavelet,
     plus 0 for the constant).
+
+    Everything runs on one n-by-n buffer, built straight from the pair
+    definition as S = diag(r) M diag(r)^-1 with r = sqrt(nu):
+    S[x, y] = -T(sup(x, y)) r(x) r(y) off the diagonal, which is bitwise
+    symmetric, and M's diagonal on it.  ``eigvalsh(S)`` gives the multiset.
+    Scaling S's rows by r then makes row k of ``basis.matrix_times(S)`` the
+    vector S phi_k with phi_k = r psi_k, and
+    ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
+    the residual is taken in these coordinates, subtracting lambda_k phi_k
+    on psi_k's support only.
     """
     if basis.tree is not tree and basis.tree.leaves != tree.leaves:
         raise ValueError("basis was built for a different tree")
-    dense = dense_operator(tree, kernel)
-    numeric = np.sort(np.linalg.eigvalsh(symmetrized(tree, dense.matrix)))
+    nu = tree.leaf_measures
+    r = np.sqrt(nu)
+    sym = _sup_kernel(tree, kernel)
+    diagonal = sym @ nu - sym.diagonal() * nu
+    sym *= np.outer(-r, r)
+    np.fill_diagonal(sym, diagonal)
+    numeric = np.sort(np.linalg.eigvalsh(sym))
     analytic = [spec.constant_eigenvalue]
     for ball_id in tree.internal:
         arity = len(tree.ball(ball_id).children)
@@ -249,10 +260,18 @@ def verify_spectrum(
     operator_norm = float(np.max(np.abs(numeric), initial=0.0))
 
     lam = spec.for_basis(basis)
-    vectors = basis.matrix.T
-    residual = dense.matrix @ vectors - vectors * lam
-    residual_norms = np.sqrt(tree.leaf_measures @ residual**2)
-    vector_norms = np.sqrt(tree.leaf_measures @ vectors**2)
+    sym *= r[:, None]
+    residual = basis.matrix_times(sym)
+    wavelet, leaf, value = basis.plan.support()
+    residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
+    residual[-1] -= lam[-1] * basis.plan.constant * r
+    residual_norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+    vector_norms = np.sqrt(
+        np.append(
+            np.bincount(wavelet, weights=nu[leaf] * value**2, minlength=basis.size - 1),
+            basis.plan.constant**2 * nu.sum(),
+        )
+    )
     scale = np.maximum(1.0, operator_norm * vector_norms)
     max_residual = float(np.max(residual_norms / scale, initial=0.0))
     return SpectrumVerification(

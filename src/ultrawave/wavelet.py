@@ -18,9 +18,14 @@ for n leaves.  ``analyze`` and ``synthesize`` run in O(n) as a pyramid over
 that schedule: ball integrals of f * nu bottom-up, then values top-down.
 Partial sums over siblings come from a work-efficient (Blelloch) scan, so
 each is a balanced tree of additions and rounding grows with depth and the
-log of the arity, not with n.  ``matrix``,
-``gram`` and ``Wavelet.vector`` materialize dense vectors from the same
-plan; they cost O(n^2) and exist for the dense oracles and tests.
+log of the arity, not with n.
+
+The dense oracles work from the same plan.  ``matrix_times(y)`` returns
+``matrix @ y`` in one children-first sweep over the balls, O(balls) work
+per column of ``y``, without building ``matrix``; ``gram`` is one such
+product.  ``matrix`` and ``Wavelet.vector`` materialize dense vectors
+(``matrix`` is O(n^2) and rebuilt on every access, so hold one reference
+per use); they exist for the transform cross-check and tests.
 """
 
 from __future__ import annotations
@@ -75,10 +80,20 @@ class TransformPlan:
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     scan: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
-    def fill_row(self, row: np.ndarray, k: int) -> None:
-        """Write wavelet k's values into a zeroed leaf vector."""
-        row[self.ball_start[k] : self.child_start[k]] = self.pos[k]
-        row[self.child_start[k] : self.child_stop[k]] = self.neg[k]
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero wavelet value as flat arrays ``(wavelet, leaf, value)``.
+
+        One entry per leaf of each wavelet's support, wavelets in order; the
+        constant element is not included.
+        """
+        length = self.child_stop - self.ball_start
+        wavelet = np.repeat(np.arange(len(length)), length)
+        shift = np.repeat(self.ball_start - (np.cumsum(length) - length), length)
+        leaf = np.arange(wavelet.size) + shift
+        value = np.where(
+            leaf < self.child_start[wavelet], self.pos[wavelet], self.neg[wavelet]
+        )
+        return wavelet, leaf, value
 
 
 @dataclass(frozen=True)
@@ -97,8 +112,10 @@ class Wavelet:
 
     @property
     def vector(self) -> np.ndarray:
-        v = np.zeros(len(self._plan.leaf_node))
-        self._plan.fill_row(v, self._position)
+        p, k = self._plan, self._position
+        v = np.zeros(len(p.leaf_node))
+        v[p.ball_start[k] : p.child_start[k]] = p.pos[k]
+        v[p.child_start[k] : p.child_stop[k]] = p.neg[k]
         v.flags.writeable = False
         return v
 
@@ -137,18 +154,71 @@ class WaveletBasis:
             for k, (ball, index) in enumerate(self.labels[:-1])
         )
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
         """Basis vectors as rows, shape (size, n_leaves), constant last.
 
-        Dense O(n^2) materialization for oracles; computed once, read-only.
+        Dense O(n^2) materialization for oracles, built on every access;
+        read-only.
         """
         m = np.zeros((self.size, self.tree.n_leaves))
-        for k in range(self.size - 1):
-            self.plan.fill_row(m[k], k)
+        wavelet, leaf, value = self.plan.support()
+        m[wavelet, leaf] = value
         m[-1] = self.plan.constant
         m.flags.writeable = False
         return m
+
+    @cached_property
+    def _sweep(self) -> tuple[list[int], list[int], list[int]]:
+        """Schedule of :meth:`matrix_times`.
+
+        Per internal ball its first wavelet (one more entry closes the last
+        ball) and the source of its first child's block; per wavelet the
+        source of its child j+1.  A source is a leaf index, or ``~b`` for
+        the sum of internal ball b.
+        """
+        p = self.plan
+        first = np.searchsorted(p.ball, np.arange(len(self.tree.internal) + 1))
+        first_child = p.child_node[first[:-1]] - 1  # siblings are consecutive nodes
+        source = np.empty(len(p.parent), dtype=np.intp)
+        source[p.leaf_node] = np.arange(self.tree.n_leaves)
+        source[p.parent[first_child]] = ~np.arange(len(first_child))
+        return first.tolist(), source[first_child].tolist(), source[p.child_node].tolist()
+
+    def matrix_times(self, y) -> np.ndarray:
+        """``matrix @ y`` for a real 2-D ``y`` with one row per leaf.
+
+        One sweep over the internal balls, children first: a child's block
+        sum is a row of ``y`` (a leaf) or the sum already formed for that
+        ball.  Wavelet k's row is ``pos[k]`` times the blocks before child
+        j+1 plus ``neg[k]`` times the block of child j+1; the constant's row
+        is the constant times the root's sum.  O(balls) work per column,
+        and a ball's sum is dropped as soon as its parent has used it.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2 or y.shape[0] != self.tree.n_leaves:
+            raise ValueError(
+                f"expected a 2-D array with {self.tree.n_leaves} rows, got shape {y.shape}"
+            )
+        first, first_source, source = self._sweep
+        pos, neg = self.plan.pos.tolist(), self.plan.neg.tolist()
+        out = np.empty((self.size, y.shape[1]))
+        term = np.empty(y.shape[1])
+        sums: dict[int, np.ndarray] = {}
+        # depth-first preorder lists every ball before its descendants
+        for b in range(len(first) - 2, -1, -1):
+            s = first_source[b]
+            before = y[s].copy() if s >= 0 else sums.pop(~s)
+            for k in range(first[b], first[b + 1]):
+                s = source[k]
+                block = y[s] if s >= 0 else sums.pop(~s)
+                np.multiply(before, pos[k], out=out[k])
+                np.multiply(block, neg[k], out=term)
+                out[k] += term
+                before += block
+            sums[b] = before
+        np.multiply(sums.pop(0) if sums else y[0], self.plan.constant, out=out[-1])
+        return out
 
     def analyze(self, values) -> np.ndarray:
         """Expansion coefficients of a leaf function, one per basis element."""
@@ -180,9 +250,17 @@ class WaveletBasis:
         return value[p.leaf_node]
 
     def gram(self) -> np.ndarray:
-        """Measure-weighted Gram matrix; identity for a correct basis."""
-        m = self.matrix
-        return (m * self.tree.leaf_measures) @ m.T
+        """Measure-weighted Gram matrix; identity for a correct basis.
+
+        ``matrix_times`` of the n-by-size array diag(nu) matrix^T, which is
+        filled from the plan's supports.
+        """
+        nu = self.tree.leaf_measures
+        wavelet, leaf, value = self.plan.support()
+        weighted = np.zeros((self.tree.n_leaves, self.size))
+        weighted[leaf, wavelet] = nu[leaf] * value
+        weighted[:, -1] = nu * self.plan.constant
+        return self.matrix_times(weighted)
 
 
 def _sibling_sums(x: np.ndarray, scan, before: bool) -> np.ndarray:

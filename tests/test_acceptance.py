@@ -200,7 +200,7 @@ def test_criterion_6_spectral_dense_propagator_equivalence():
         values = random_leaf_values(rng, tree)
         norm0 = tree.norm(values)
         packet = uw.WavePacket.from_leaf_values(basis, spec, values)
-        matrix = uw.dense_operator(tree, kernel).matrix
+        matrix = uw.dense_operator(tree, kernel)
         times = tuple(rng.uniform(0.0, 10.0, 3))
         spectral = [
             s.leaf_values()

@@ -254,6 +254,8 @@ def test_ball_support_rejects_non_finite_values(binary_tree, bad):
 def test_ball_support_rejects_negative_tol(binary_tree):
     with pytest.raises(ValueError, match="nonnegative"):
         binary_tree.ball_support(np.ones(4), tol=-1.0)
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        binary_tree.ball_support(np.ones(4), tol=float("nan"))
 
 
 def test_leaf_order_is_depth_first(binary_tree):

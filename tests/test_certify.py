@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import ultrawave as uw
 from ultrawave import evolution
@@ -69,3 +70,8 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monke
     assert "potential_dense_equivalence" not in plain
     assert "spectral_dense_equivalence" not in plain
     assert plain_after != after
+
+
+def test_negative_instance_count_is_rejected():
+    with pytest.raises(ValueError, match="instances must be >= 0"):
+        uw.run_certification(instances=-3)

@@ -150,6 +150,36 @@ def test_spectrum_expected_match_and_tamper(tree_file, kernel_file, tmp_path, ca
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_spectrum_nan_expected_values_are_a_mismatch(tree_file, kernel_file, tmp_path, capsys):
+    expected = tmp_path / "nan.csv"
+    expected.write_text("ball_id,p_I,lambda\r\nr,2,nan\r\nr.0,2,nan\r\nr.1,2,nan\r\n")
+    rc = main(
+        [
+            "spectrum", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--out", str(tmp_path / "out"), "--expected", str(expected),
+        ]
+    )
+    assert rc == 1
+    assert "mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_spectrum_rejects_a_non_finite_or_negative_tol(
+    tree_file, kernel_file, tmp_path, capsys, tol
+):
+    expected = tmp_path / "wrong.csv"
+    expected.write_text("ball_id,p_I,lambda\r\nr,2,123.0\r\nr.0,2,123.0\r\nr.1,2,123.0\r\n")
+    rc = main(
+        [
+            "spectrum", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--out", str(tmp_path / "out"), "--expected", str(expected), f"--tol={tol}",
+        ]
+    )
+    assert rc == 2
+    assert "--tol must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_deterministic_output(tree_file, kernel_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -344,6 +374,20 @@ def test_evolve_rejects_non_finite_potential(tree_file, kernel_file, tmp_path, c
     assert "leaf 'r.1.1' is not finite" in capsys.readouterr().err
 
 
+def test_evolve_nan_support_threshold_is_usage_error(tree_file, kernel_file, tmp_path, capsys):
+    initial = _write_initial(tmp_path, [1.0, -1.0, 0.0, 0.0])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--times", "0,1", "--tol", "nan", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "support threshold must be nonnegative" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_evolve_bad_times_is_usage_error(tree_file, kernel_file, tmp_path):
     initial = _write_initial(tmp_path, np.ones(4))
     rc = main(
@@ -391,6 +435,13 @@ def test_certify_injections_fail(inject, capsys):
 def test_certify_zero_instances(capsys):
     assert main(["certify", "--instances", "0"]) == 0
     assert "no instances" in capsys.readouterr().out
+
+
+def test_certify_negative_instances_is_usage_error(capsys):
+    assert main(["certify", "--instances", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "instances must be >= 0" in captured.err
+    assert "no instances" not in captured.out
 
 
 def test_certify_with_pinned_tree_and_kernel(tree_file, kernel_file):

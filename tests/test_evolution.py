@@ -107,7 +107,7 @@ def test_heat_single_wavelet_decay(binary_tree, binary_kernel):
     # scalar exponential with eigenvalue 1.5
     assert state.coefficients[1] == pytest.approx(0.22313016014842982, rel=1e-12)
     # independent oracle: dense matrix exponential
-    matrix = uw.dense_operator(binary_tree, binary_kernel).matrix
+    matrix = uw.dense_operator(binary_tree, binary_kernel)
     oracle = expm(-matrix) @ basis.wavelets[1].vector
     assert binary_tree.norm(state.leaf_values() - oracle) <= 1e-8
 
@@ -217,7 +217,7 @@ def test_dense_propagator_matches_expm():
     rng = np.random.default_rng(23)
     tree = random_tree(rng, min_leaves=4, max_leaves=24)
     kernel = random_kernel(rng, tree)
-    matrix = uw.dense_operator(tree, kernel).matrix
+    matrix = uw.dense_operator(tree, kernel)
     propagator = uw.DensePropagator(tree, matrix)
     values = random_leaf_values(rng, tree)
     for t in (0.4, 2.9):
@@ -250,7 +250,7 @@ def dense_builds(monkeypatch):
 
 
 def _expm_states(tree, kernel, values, potential, times, hbar):
-    hamiltonian = hbar**2 * uw.dense_operator(tree, kernel).matrix + np.diag(potential)
+    hamiltonian = hbar**2 * uw.dense_operator(tree, kernel) + np.diag(potential)
     return [expm(-1j * t * hamiltonian / hbar) @ values for t in times]
 
 
@@ -490,7 +490,7 @@ def test_zero_eigenvalue_is_rejected(binary_tree, binary_kernel):
 def test_perturbed_product_residual_scales_linearly(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
     spec = uw.spectrum(binary_tree, binary_kernel)
-    matrix = uw.dense_operator(binary_tree, binary_kernel).matrix
+    matrix = uw.dense_operator(binary_tree, binary_kernel)
     lam_x = spec.eigenvalues["r.0"]
     lam_t = spec.eigenvalues["r.0"]
     psi = np.outer(basis.wavelets[1].vector, basis.wavelets[1].vector)

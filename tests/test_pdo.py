@@ -1,11 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ultrawave as uw
 from ultrawave.ball_tree import BallSpec, TreeSpec
-from ultrawave.certify import random_kernel, random_tree
+from ultrawave.certify import (
+    corrupt_basis_sign,
+    corrupt_spectrum,
+    random_kernel,
+    random_tree,
+)
 from ultrawave.pdo import read_spectrum, symmetrized, write_spectrum
 
 
@@ -27,7 +33,7 @@ def test_binary_fixture_eigenvalues_by_hand(binary_tree, binary_kernel):
 def test_binary_fixture_multiset_against_dense_oracle(binary_tree, binary_kernel):
     # brute-force eigendecomposition of the pair-defined matrix
     dense = uw.dense_operator(binary_tree, binary_kernel)
-    numeric = np.sort(np.linalg.eigvalsh(symmetrized(binary_tree, dense.matrix)))
+    numeric = np.sort(np.linalg.eigvalsh(symmetrized(binary_tree, dense)))
     np.testing.assert_allclose(numeric, [0.0, 1.0, 1.5, 1.5], atol=1e-12)
 
 
@@ -44,7 +50,7 @@ def test_zero_kernel_spectrum(binary_tree):
     kernel = uw.constant_kernel(binary_tree, 0.0)
     spec = uw.spectrum(binary_tree, kernel)
     assert all(v == 0.0 for v in spec.eigenvalues.values())
-    assert not uw.dense_operator(binary_tree, kernel).matrix.any()
+    assert not uw.dense_operator(binary_tree, kernel).any()
 
 
 def test_vladimirov_values(binary_tree):
@@ -72,13 +78,13 @@ def test_vladimirov_deeper_balls_have_larger_eigenvalues():
 
 
 def test_dense_kills_constants(binary_tree, binary_kernel):
-    matrix = uw.dense_operator(binary_tree, binary_kernel).matrix
+    matrix = uw.dense_operator(binary_tree, binary_kernel)
     scale = np.max(np.abs(matrix))
     assert np.max(np.abs(matrix @ np.ones(4))) <= 1e-12 * scale
 
 
 def test_dense_eigenrelation(binary_tree, binary_kernel):
-    matrix = uw.dense_operator(binary_tree, binary_kernel).matrix
+    matrix = uw.dense_operator(binary_tree, binary_kernel)
     basis = uw.build_basis(binary_tree)
     spec = uw.spectrum(binary_tree, binary_kernel)
     for wavelet in basis.wavelets:
@@ -97,7 +103,7 @@ def test_two_leaf_dense_matrix_by_direct_evaluation():
         leaf_measures={"a": 0.5, "b": 0.5},
     )
     tree = uw.build_tree(spec)
-    matrix = uw.dense_operator(tree, uw.constant_kernel(tree, 1.0)).matrix
+    matrix = uw.dense_operator(tree, uw.constant_kernel(tree, 1.0))
     np.testing.assert_array_equal(matrix, [[0.5, -0.5], [-0.5, 0.5]])
 
 
@@ -106,7 +112,7 @@ def test_dense_matrix_invariants_fuzzed():
         rng = np.random.default_rng([13, seed])
         tree = random_tree(rng, min_leaves=2, max_leaves=80)
         kernel = random_kernel(rng, tree)
-        matrix = uw.dense_operator(tree, kernel).matrix
+        matrix = uw.dense_operator(tree, kernel)
         scale = max(1.0, np.max(np.abs(matrix)))
         weights = tree.leaf_measures
         # self-adjoint under the weighted inner product
@@ -132,7 +138,7 @@ def test_rank_counts_zero_kernel_multiplicities():
         for b, lam in spec.eigenvalues.items()
         if lam == 0.0
     )
-    eigs = np.linalg.eigvalsh(symmetrized(tree, uw.dense_operator(tree, kernel).matrix))
+    eigs = np.linalg.eigvalsh(symmetrized(tree, uw.dense_operator(tree, kernel)))
     numeric_rank = int(np.sum(np.abs(eigs) > 1e-10))
     assert numeric_rank == tree.n_leaves - zero_mult == 2
 
@@ -142,7 +148,7 @@ def test_spectrum_invariant_under_basis_rotation():
     tree = uw.build_tree(uw.padic_preset(3, 1, 1.0))
     kernel = uw.constant_kernel(tree, 2.0)
     basis = uw.build_basis(tree)
-    matrix = uw.dense_operator(tree, kernel).matrix
+    matrix = uw.dense_operator(tree, kernel)
     lam = uw.eigenvalue(tree, kernel, "r")
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -237,7 +243,96 @@ def test_single_ball_tree_spectrum_is_trivial():
     kernel = uw.make_kernel(tree, {})
     spec = uw.spectrum(tree, kernel)
     assert spec.eigenvalues == {}
-    matrix = uw.dense_operator(tree, kernel).matrix
+    matrix = uw.dense_operator(tree, kernel)
     np.testing.assert_array_equal(matrix, [[0.0]])
     report = uw.verify_spectrum(tree, kernel, uw.build_basis(tree), spec)
+    assert report.passed
+
+
+# -- verify_spectrum against the first dense realization -------------------------
+
+
+def _reference_verification(tree, kernel, basis, spec):
+    """(max residual, multiset deviation, operator norm) computed as
+    ``verify_spectrum`` first did: the dense operator, its symmetrized copy
+    and products with the dense basis."""
+    matrix = uw.dense_operator(tree, kernel)
+    numeric = np.sort(np.linalg.eigvalsh(symmetrized(tree, matrix)))
+    analytic = [spec.constant_eigenvalue]
+    for ball_id in tree.internal:
+        arity = len(tree.ball(ball_id).children)
+        analytic.extend([spec.eigenvalues[ball_id]] * (arity - 1))
+    multiset = float(np.max(np.abs(numeric - np.sort(analytic))))
+    operator_norm = float(np.max(np.abs(numeric)))
+    vectors = basis.matrix.T
+    residual = matrix @ vectors - vectors * spec.for_basis(basis)
+    residual_norms = np.sqrt(tree.leaf_measures @ residual**2)
+    vector_norms = np.sqrt(tree.leaf_measures @ vectors**2)
+    scale = np.maximum(1.0, operator_norm * vector_norms)
+    return float(np.max(residual_norms / scale)), multiset, operator_norm
+
+
+def _verification_cases():
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        tree = random_tree(rng, min_leaves=2, max_leaves=150, max_children=6)
+        kernel = random_kernel(rng, tree)
+        basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
+        yield "random", tree, kernel, basis, spec
+        yield "tampered", tree, kernel, basis, corrupt_spectrum(spec)
+        yield "sign-bug", tree, kernel, corrupt_basis_sign(basis), spec
+        zero = uw.constant_kernel(tree, 0.0)
+        yield "zero", tree, zero, basis, uw.spectrum(tree, zero)
+    tree = uw.build_tree(uw.padic_preset(3, 4))
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    yield "padic", tree, kernel, uw.build_basis(tree), uw.spectrum(tree, kernel)
+
+
+def test_verify_spectrum_agrees_with_the_dense_reference():
+    verdicts = set()
+    for case, tree, kernel, basis, spec in _verification_cases():
+        report = uw.verify_spectrum(tree, kernel, basis, spec)
+        residual, multiset, operator_norm = _reference_verification(tree, kernel, basis, spec)
+        reference_passed = (
+            residual <= report.residual_tol and multiset <= report.multiset_tol
+        )
+        assert report.passed == reference_passed, case
+        verdicts.add((case, report.passed))
+        rounding = 1e-12 * max(1.0, operator_norm)
+        assert report.operator_norm == pytest.approx(operator_norm, rel=1e-12, abs=1e-300)
+        assert abs(report.multiset_max_diff - multiset) <= rounding, case
+        assert abs(report.max_residual - residual) <= 1e-14 + 1e-12 * residual, case
+    # a sign bug under a zero kernel value stays an eigenvector, so only
+    # the reference decides each verdict; both corruptions must bite somewhere
+    assert {case for case, passed in verdicts if not passed} == {"tampered", "sign-bug"}
+    assert ("random", True) in verdicts and ("zero", True) in verdicts
+
+
+def test_verify_spectrum_on_a_single_leaf():
+    tree = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),)))
+    kernel = uw.make_kernel(tree, {})
+    report = uw.verify_spectrum(tree, kernel, uw.build_basis(tree), uw.spectrum(tree, kernel))
+    assert report.passed and report.max_residual == 0.0 and report.multiset_max_diff == 0.0
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        uw.build_tree(uw.padic_preset(2, 10)),
+        random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000),
+    ],
+    ids=["padic", "random"],
+)
+def test_verify_spectrum_memory_is_about_two_dense_arrays(tree):
+    # the symmetric buffer and the residual; no dense operator or basis copies
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
+    n = tree.n_leaves
+    tracemalloc.start()
+    try:
+        report = uw.verify_spectrum(tree, kernel, basis, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
     assert report.passed

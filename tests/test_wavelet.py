@@ -350,3 +350,76 @@ def test_sibling_scan_work_is_linear(kind, n):
     # whatever the arity, the scan's levels hold at most two entries per node
     plan = uw.build_basis(_adversarial_tree(kind, n, 0)).plan
     assert sum(len(left) for left, _, _ in plan.scan) <= 2 * len(plan.parent)
+
+
+# -- products with the basis over its supports -----------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=_SHAPES,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    one_column=st.booleans(),
+)
+def test_matrix_times_matches_dense_product(shape, seed, one_column):
+    tree = _adversarial_tree(*shape, seed)
+    basis = uw.build_basis(tree)
+    n = tree.n_leaves
+    y = np.random.default_rng(seed).standard_normal((n, 1 if one_column else n))
+    matrix = basis.matrix
+    # entrywise, relative to the magnitudes each entry sums
+    bound = 1e-13 * (np.abs(matrix) @ np.abs(y))
+    assert np.all(np.abs(basis.matrix_times(y) - matrix @ y) <= bound)
+
+
+def test_matrix_times_on_a_single_leaf():
+    tree = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),)))
+    basis = uw.build_basis(tree)
+    y = np.array([[3.0, -1.0, 0.5]])
+    np.testing.assert_array_equal(basis.matrix_times(y), 0.5 * y)
+    np.testing.assert_array_equal(basis.gram(), [[1.0]])
+
+
+def test_matrix_times_rejects_wrong_shapes(binary_tree):
+    basis = uw.build_basis(binary_tree)
+    for y in (np.ones(4), np.ones((3, 2)), np.ones((4, 2, 1))):
+        with pytest.raises(ValueError, match="2-D array with 4 rows"):
+            basis.matrix_times(y)
+
+
+@pytest.mark.parametrize("kind, n", [("random", 300), ("caterpillar", 200), ("star", 1000)])
+def test_gram_matches_dense_product(kind, n):
+    tree = _adversarial_tree(kind, n, 5)
+    basis = uw.build_basis(tree)
+    matrix = basis.matrix
+    dense = (matrix * tree.leaf_measures) @ matrix.T
+    np.testing.assert_allclose(basis.gram(), dense, rtol=0, atol=1e-13)
+
+
+def test_matrix_is_rebuilt_on_every_access(binary_tree):
+    basis = uw.build_basis(binary_tree)
+    first = basis.matrix
+    assert basis.matrix is not first
+    np.testing.assert_array_equal(basis.matrix, first)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        uw.build_tree(uw.padic_preset(2, 10)),
+        random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000),
+    ],
+    ids=["padic", "random"],
+)
+def test_gram_memory_is_about_two_dense_arrays(tree):
+    # the input diag(nu) matrix^T and the result; no dense basis
+    basis = uw.build_basis(tree)
+    n = tree.n_leaves
+    tracemalloc.start()
+    try:
+        gram = basis.gram()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
