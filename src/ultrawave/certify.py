@@ -25,11 +25,11 @@ from .evolution import (
     DensePropagator,
     EvolutionConfig,
     WavePacket,
+    chebyshev_evolve_with_potential,
     check_localization,
     evolve_heat,
     evolve_schrodinger,
     free_propagator,
-    lanczos_evolve_with_potential,
     real_matvec,
     spacetime_product_check,
 )
@@ -223,11 +223,11 @@ def unitarity_checks(
 def _potential_deviation(
     tree: BallTree, kernel: SupKernel, rng: np.random.Generator
 ) -> float:
-    """Relative gap between the Lanczos potential route and the dense propagator."""
+    """Relative gap between the Chebyshev potential route and the dense propagator."""
     values = random_leaf_values(rng, tree)
     potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
     t = float(rng.uniform(0.0, 1.0))
-    (state,) = lanczos_evolve_with_potential(
+    (state,) = chebyshev_evolve_with_potential(
         values, potential, tree, kernel, EvolutionConfig(times=(t,))
     )
     hamiltonian = dense_operator(tree, kernel) + np.diag(potential)

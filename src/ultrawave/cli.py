@@ -105,6 +105,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    # a threshold of max|value| or more leaves no support ball, and the
+    # outside mass would then read 0 whatever the state does
+    if not 0 <= args.tol < 1:
+        raise ValueError(
+            f"--tol must be in [0, 1): the support threshold must be nonnegative "
+            f"and below the largest value, got {args.tol}"
+        )
     tree = build_tree(load_tree_spec(args.tree))
     kernel = _kernel_for(args, tree)
     values = read_leaf_values(args.initial, tree)
@@ -208,7 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated sample times")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--potential", help="real potential CSV (columns leaf_id, re, im)")
-    p.add_argument("--tol", type=float, default=1e-12, help="support detection threshold")
+    p.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="support detection threshold, relative to max|value|, in [0, 1)",
+    )
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_evolve)
 

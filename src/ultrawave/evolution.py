@@ -9,16 +9,15 @@ packet supported in a ball stays supported in that ball for all time;
 dense propagator, how a packet with nonzero mean leaks out.
 
 A real potential U couples the wavelets, so ``evolve_with_potential``
-applies exp(-i t H / hbar) with a Lanczos (Krylov) exponential: the
-product H f = hbar**2 * synthesize(lambda * analyze f) + U f costs O(n),
-and each substep grows an orthonormal Krylov basis of the operator,
-shifted to a spectrum centred on 0, until Saad's a-posteriori error
-estimate meets a fixed tolerance.  The number of products grows with the
-spectral width of H/hbar times the time span, which is bounded a priori
-by hbar * max(lambda) + (max U - min U) / hbar.  The dense
-eigendecomposition costs O(n**3) whatever the width, so it is used
-instead when that bound times the span exceeds a measured 3e-4 * n**2,
-on trees of at most 4096 leaves.
+applies exp(-i t H / hbar) as a Chebyshev expansion (``chebyshev_expm``):
+the product H f = hbar**2 * synthesize(lambda * analyze f) + U f costs
+O(n), and the expansion, on the operator shifted to a spectrum centred on
+0, needs about half the spectral width of H / hbar times the largest |t|
+products, shared by all sample times.  That width is bounded a priori by
+hbar * max(lambda) + (max U - min U) / hbar.  The dense eigendecomposition
+costs O(n**3) whatever the width, so it is used instead when that bound
+times the largest |t| exceeds a measured 1.5e-3 * n**2, on trees of at
+most 4096 leaves.
 
 ``DensePropagator`` evolves leaf functions directly through an
 eigendecomposition of the measure-symmetrized operator matrix, with no
@@ -50,8 +49,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not (self.hbar > 0 and math.isfinite(self.hbar)):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if not all(math.isfinite(t) for t in self.times):
             raise ValueError("sample times must be finite")
 
@@ -167,53 +166,53 @@ def evolve_with_potential(
     the state at time t is exp(-i t H / hbar) applied to the input, for
     times of either sign in any order.  H / hbar has its spectrum in
     [min U / hbar, hbar * max(lambda) + max U / hbar], whose width times
-    the time span covered from t = 0 sets the number of Lanczos products.
-    The dense eigendecomposition is used where it is measured to be
-    cheaper (``_dense_is_cheaper``), the Lanczos route
-    (``lanczos_evolve_with_potential``) everywhere else.  Both preserve
+    the largest |t| sets the number of Chebyshev products.  The dense
+    eigendecomposition is used where it is measured to be cheaper
+    (``_dense_is_cheaper``), the Chebyshev route
+    (``chebyshev_evolve_with_potential``) everywhere else.  Both preserve
     the norm to linear-algebra accuracy.
     """
     v, u = _potential_inputs(tree, values, potential)
     spec = build_spectrum(tree, kernel)
     low, high = _spectral_bounds(spec, u, config.hbar)
-    if _dense_is_cheaper((high - low) * _time_span(config.times), tree.n_leaves):
+    longest = max((abs(t) for t in config.times), default=0.0)
+    if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
         hamiltonian = config.hbar**2 * dense_operator(tree, kernel) + np.diag(u)
         propagator = DensePropagator(tree, hamiltonian)
         return [propagator.expm_apply(v, -1j * t / config.hbar) for t in config.times]
-    return _lanczos_route(tree, spec, v, u, config)
+    return _chebyshev_route(tree, spec, v, u, config)
 
 
-def lanczos_evolve_with_potential(
+def chebyshev_evolve_with_potential(
     values, potential, tree: BallTree, kernel: SupKernel, config: EvolutionConfig
 ) -> list[np.ndarray]:
-    """``evolve_with_potential`` on its Lanczos route, whatever the width.
+    """``evolve_with_potential`` on its Chebyshev route, whatever the width.
 
     Small trees take the dense route in ``evolve_with_potential``; this
-    lets the Lanczos route be cross-checked against the dense propagator
+    lets the Chebyshev route be cross-checked against the dense propagator
     there.
     """
     v, u = _potential_inputs(tree, values, potential)
-    return _lanczos_route(tree, build_spectrum(tree, kernel), v, u, config)
+    return _chebyshev_route(tree, build_spectrum(tree, kernel), v, u, config)
 
 
-def _lanczos_route(
+def _chebyshev_route(
     tree: BallTree, spec: Spectrum, v: np.ndarray, u: np.ndarray, config: EvolutionConfig
 ) -> list[np.ndarray]:
     hbar = config.hbar
     basis = build_basis(tree)
     lam = hbar * spec.for_basis(basis)
-    root = np.sqrt(tree.leaf_measures)
-    # Lanczos runs on H / hbar - centre, whose spectrum is symmetric about 0:
-    # the Krylov basis does not depend on the shift, the error estimate does
-    centre = sum(_spectral_bounds(spec, u, hbar)) / 2
+    # the expansion runs on H / hbar - centre, whose spectrum lies in
+    # [-half_width, half_width]; the centre comes back as a phase
+    low, high = _spectral_bounds(spec, u, hbar)
+    centre = (low + high) / 2
     shift = u / hbar - centre
 
-    def matvec(g: np.ndarray) -> np.ndarray:
-        # H / hbar - centre conjugated by diag(sqrt(nu)): real symmetric
-        return root * basis.synthesize(lam * basis.analyze(g / root)) + shift * g
+    def matvec(f: np.ndarray) -> np.ndarray:
+        return basis.synthesize(lam * basis.analyze(f)) + shift * f
 
-    states = lanczos_expm(matvec, root * v, config.times)
-    return [np.exp(-1j * centre * t) * g / root for g, t in zip(states, config.times)]
+    states = chebyshev_expm(matvec, v, config.times, (high - low) / 2)
+    return [np.exp(-1j * centre * t) * f for f, t in zip(states, config.times)]
 
 
 def _potential_inputs(tree: BallTree, values, potential) -> tuple[np.ndarray, np.ndarray]:
@@ -239,151 +238,138 @@ def _spectral_bounds(spec: Spectrum, u: np.ndarray, hbar: float) -> tuple[float,
     return low, high
 
 
-#: Measured crossover of the two potential routes.  Lanczos takes up to
-#: about 1.7 products of O(n) per unit of width times span, the dense route
-#: O(n**3) whatever the width; at width times span = 3e-4 * n**2 Lanczos
-#: took 0.55 to 1.27 times the dense time on binary and irregular trees
-#: of 2**9 to 2**12 leaves (CHANGES.md has the timings).
-_DENSE_CROSSOVER = 3e-4
+#: Measured crossover of the two potential routes.  Chebyshev takes about
+#: width * max|t| / 2 products of O(n), the dense route O(n**3) whatever
+#: the width; CHANGES.md has the timings on binary and irregular trees of
+#: 2**9 to 2**12 leaves.
+_DENSE_CROSSOVER = 1.5e-3
 #: Largest tree sent to the dense route: it holds several n x n float
 #: arrays at once, over 0.5 GB each beyond this size.
 _DENSE_MAX_LEAVES = 4096
 
 
-def _dense_is_cheaper(width_span: float, n: int) -> bool:
-    """Whether the dense route beats Lanczos for width * time span on n leaves."""
-    return n <= _DENSE_MAX_LEAVES and width_span > _DENSE_CROSSOVER * n**2
+def _dense_is_cheaper(width_time: float, n: int) -> bool:
+    """Whether the dense route beats Chebyshev for width * max|t| on n leaves."""
+    return n <= _DENSE_MAX_LEAVES and width_time > _DENSE_CROSSOVER * n**2
 
 
-def _time_span(times) -> float:
-    """Length of time covered when stepping from t = 0 to every sample time."""
-    return max(max(times, default=0.0), 0.0) - min(min(times, default=0.0), 0.0)
-
-
-#: Error allowed over a whole Lanczos evolution, relative to the state norm.
+#: Truncation error allowed per sample time, relative to the state norm.
 _KRYLOV_TOL = 1e-12
-#: Largest Krylov basis built for one substep.
-_KRYLOV_DIM = 40
+#: Chebyshev vectors held at once; each full block is added into every
+#: sample time's state by one matrix product.
+_CHEBYSHEV_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class _KrylovSpace:
-    """Lanczos basis of a start vector and the eigensystem of its projection.
+def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[np.ndarray]:
+    """exp(-i t A) applied to ``start`` for each time.
 
-    ``vectors`` holds m orthonormal rows spanning the Krylov space; the
-    operator restricted to it is the tridiagonal T = ``coords`` diag(``ritz``)
-    ``coords``^T, and ``residual`` is the norm of the part of the operator
-    times the last basis vector that leaves the space (0 if the space is
-    invariant).
+    A must be self-adjoint, in whatever inner product measures the error,
+    with its spectrum in [-h, h], h = ``half_width``.  Then
+    exp(-i t A) = sum_k c_k(t) T_k(A / h) with c_0 = J_0(h t) and
+    c_k = 2 (-i)**k J_k(h t), T_k the Chebyshev polynomials (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 1984).  Since |T_k(A / h)| <= 1, each time's
+    sum stops at the degree past which sum |c_k| <= ``_KRYLOV_TOL``, so its
+    error is at most that times |start|; the degree is fixed before any
+    product is taken.  All times, of either sign and in any order, share
+    one three-term recurrence T_{k+1} = 2 (A / h) T_k - T_{k-1}, so the
+    number of products is the largest degree, about h * max|t|.  States
+    come back in the order of ``times``.
     """
-
-    vectors: np.ndarray
-    ritz: np.ndarray
-    coords: np.ndarray
-    scale: float
-    residual: float
-
-    def apply(self, z: complex) -> np.ndarray:
-        """exp(z * A) applied to the start vector, from the Krylov space."""
-        weights = self.coords @ (np.exp(z * self.ritz) * self.coords[0])
-        return self.scale * (weights @ self.vectors)
-
-    def error(self, z: complex) -> float:
-        """Saad's a-posteriori estimate of the error of ``apply(z)``.
-
-        scale * residual * |z| * |e_m^T phi_1(z T) e_1|, with
-        phi_1(x) = (exp(x) - 1) / x: the leading term of the error series
-        (Saad, SIAM J. Numer. Anal. 29, 1992, section 5).
-        """
-        x = z * self.ritz
-        phi = np.ones_like(x)
-        nonzero = x != 0
-        phi[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
-        tail = abs(self.coords[-1] @ (phi * self.coords[0]))
-        return self.scale * self.residual * abs(z) * float(tail)
-
-
-def _krylov_space(matvec, start: np.ndarray, z: complex, allowed: float) -> _KrylovSpace:
-    """Grow a Lanczos basis of ``start`` until ``error(z)`` is within ``allowed``.
-
-    ``matvec`` must apply a real symmetric operator A.  Every new vector is
-    orthogonalized twice against the whole basis (full
-    reorthogonalization), so the basis stays orthonormal to rounding.  The
-    growth stops at ``_KRYLOV_DIM`` vectors, at the dimension of the space, or
-    when the basis becomes invariant.
-    """
-    n = start.size
-    dim = min(_KRYLOV_DIM, n)
-    scale = float(np.linalg.norm(start))
-    vectors = np.empty((dim, n), dtype=complex)
-    vectors[0] = start / scale
-    alpha: list[float] = []
-    beta: list[float] = []
-    for j in range(dim):
-        if j:
-            beta.append(residual)
-            vectors[j] = w / residual
-        w = matvec(vectors[j])
-        product_norm = float(np.linalg.norm(w))
-        basis = vectors[: j + 1]
-        # conj(basis) @ w without copying the basis
-        h = (basis @ w.conj()).conj()
-        w = w - h @ basis
-        correction = (basis @ w.conj()).conj()
-        w = w - correction @ basis
-        alpha.append(float((h[j] + correction[j]).real))
-        residual = float(np.linalg.norm(w))
-        invariant = residual <= 16 * np.finfo(float).eps * product_norm or j + 1 == n
-        ritz, coords = np.linalg.eigh(
-            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        )
-        space = _KrylovSpace(basis, ritz, coords, scale, 0.0 if invariant else residual)
-        if invariant or space.error(z) <= allowed:
-            break
-    return space
-
-
-def lanczos_expm(matvec, start: np.ndarray, times) -> list[np.ndarray]:
-    """exp(-i t A) applied to ``start`` for each time, A real symmetric.
-
-    Each direction of time is covered by substeps from t = 0 through the
-    sorted sample times.  A substep builds one Krylov basis of the current
-    state aimed at the farthest remaining time, then halves its length
-    until the error estimate is within ``_KRYLOV_TOL * |start|`` per unit of the
-    total time span, and reads every sample time it covers off that basis.
-    States come back in the order of ``times``.
-    """
+    h = float(half_width)
+    if not (math.isfinite(h) and h >= 0):
+        raise ValueError(f"spectral half-width must be finite and nonnegative, got {half_width}")
     times = [float(t) for t in times]
-    states: list[np.ndarray | None] = [None] * len(times)
-    span = _time_span(times)
-    norm = float(np.linalg.norm(start))
-    for i, t in enumerate(times):
-        if t == 0.0 or norm == 0.0:
-            states[i] = start.astype(complex)
-    for sign in (1.0, -1.0):
-        pending = sorted(
-            (sign * t, i) for i, t in enumerate(times) if sign * t > 0 and states[i] is None
-        )
-        if not pending:
-            continue
-        rate = -1j * sign
-        per_time = _KRYLOV_TOL * norm / span
-        state, now = start.astype(complex), 0.0
-        while pending:
-            step = pending[-1][0] - now
-            space = _krylov_space(matvec, state, rate * step, per_time * step)
-            for _ in range(64):
-                if space.error(rate * step) <= per_time * step:
-                    break
-                step /= 2
-            else:
-                raise ArithmeticError("Lanczos substep did not reach its error tolerance")
-            while pending and pending[0][0] - now <= step:
-                distance, i = pending.pop(0)
-                states[i] = space.apply(rate * (distance - now))
-            if pending:
-                state, now = space.apply(rate * step), now + step
-    return states
+    for t in times:
+        if not math.isfinite(h * t):
+            raise ValueError(
+                f"evolution times must be finite, as must their product with the "
+                f"half-width {h}; got {t}"
+            )
+    start = np.asarray(start, dtype=complex)
+    expansions = [_chebyshev_coefficients(h * t) for t in times]
+    degree = max((c.size for c in expansions), default=1) - 1
+    table = np.zeros((len(times), degree + 1), dtype=complex)
+    for row, c in zip(table, expansions):
+        row[: c.size] = c
+    states = np.zeros((len(times), start.size), dtype=complex)
+    # T_k(A / h) start sits in row k % rows; rows >= 3 whenever the block
+    # wraps, so rows j - 1 and j - 2 (negative indices wrap too) still hold
+    # T_{k-1} and T_{k-2}
+    rows = min(_CHEBYSHEV_BLOCK, degree + 1)
+    block = np.empty((rows, start.size), dtype=complex)
+    for k in range(degree + 1):
+        j = k % rows
+        if k == 0:
+            block[0] = start
+        elif k == 1:
+            np.multiply(matvec(start), 1 / h, out=block[1])
+        else:
+            np.multiply(matvec(block[j - 1]), 2 / h, out=block[j])
+            block[j] -= block[j - 2]
+        if j == rows - 1 or k == degree:
+            states += table[:, k - j : k + 1] @ block[: j + 1]
+    return list(states)
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """c_0 .. c_K of exp(-i x y) = sum_k c_k T_k(y) on [-1, 1].
+
+    c_0 = J_0(x), c_k = 2 (-i)**k J_k(x), with J_k(-x) = (-1)**k J_k(x);
+    K is the least degree whose discarded tail has sum |c_k| <= ``_KRYLOV_TOL``.
+    """
+    j = bessel_j(abs(x), _negligible_order(abs(x)))
+    magnitude = 2 * np.abs(j)
+    magnitude[0] = abs(j[0])
+    tail = np.cumsum(magnitude[::-1])[::-1]
+    degree = int(np.count_nonzero(tail > _KRYLOV_TOL)) - 1
+    phase = np.array([1, -1j, -1, 1j]) if x >= 0 else np.array([1, 1j, -1, -1j])
+    c = 2 * j[: degree + 1] * np.resize(phase, degree + 1)
+    c[0] = j[0]
+    return c
+
+
+#: log of an absolute bound on the coefficients left out beyond
+#: ``_negligible_order``: far below any tolerance and above underflow.
+_LOG_NEGLIGIBLE = math.log(1e-30)
+
+
+def _negligible_order(x: float) -> int:
+    """An order k >= x with 2 * sum_{j >= k} |J_j(x)| <= 1e-30, for x >= 0.
+
+    From |J_j(x)| <= (x / 2)**j / j!: for j >= k >= x successive bounds at
+    least halve, so the tail is at most twice the first.
+    """
+    if x == 0:
+        return 1
+    k = math.ceil(x)
+    while k * math.log(x / 2) - math.lgamma(k + 1) + math.log(4) > _LOG_NEGLIGIBLE:
+        k += 1
+    return k
+
+
+def bessel_j(x: float, count: int) -> np.ndarray:
+    """J_0(x) .. J_{count-1}(x) for x >= 0, by Miller's backward recurrence.
+
+    The recurrence J_{k-1} = (2 k / x) J_k - J_{k+1} runs down from an order
+    where J is negligible (from 1 and 0 there, rescaled before it can
+    overflow) and is normalized by J_0 + 2 * sum_k J_{2k} = 1.
+    """
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"Bessel argument must be finite and nonnegative, got {x}")
+    if x == 0:
+        return (np.arange(count) == 0).astype(float)
+    top = max(count, _negligible_order(x)) + 1
+    out = np.zeros(top + 1)
+    above, current = 0.0, 1.0
+    out[top] = current
+    for k in range(top, 0, -1):
+        above, current = current, 2 * k / x * current - above
+        out[k - 1] = current
+        if abs(current) > 1e250:
+            out[k - 1 :] *= 1e-250
+            above, current = above * 1e-250, current * 1e-250
+    out /= out[0] + 2 * out[2::2].sum()
+    return out[:count]
 
 
 @dataclass(frozen=True)

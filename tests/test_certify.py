@@ -10,7 +10,7 @@ from ultrawave.certify import (
     random_tree,
     unitarity_checks,
 )
-from ultrawave.evolution import lanczos_expm
+from ultrawave.evolution import chebyshev_expm
 
 
 def _checks(tree, basis):
@@ -45,13 +45,13 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monke
     tree = random_tree(np.random.default_rng(12), min_leaves=10, max_leaves=40)
     kernel = random_kernel(np.random.default_rng(13), tree)
     basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
-    lanczos_runs = []
+    chebyshev_runs = []
 
     def counting(*args):
-        lanczos_runs.append(args)
-        return lanczos_expm(*args)
+        chebyshev_runs.append(args)
+        return chebyshev_expm(*args)
 
-    monkeypatch.setattr(evolution, "lanczos_expm", counting)
+    monkeypatch.setattr(evolution, "chebyshev_expm", counting)
 
     def run(limit):
         rng = np.random.default_rng(14)
@@ -63,8 +63,8 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monke
     value, tol = checks["potential_dense_equivalence"]
     assert tol == 1e-8
     assert value <= tol
-    # the comparison runs the Lanczos route, not the dense one twice
-    assert len(lanczos_runs) == 1
+    # the comparison runs the Chebyshev route, not the dense one twice
+    assert len(chebyshev_runs) == 1
     # above the dense limit the check neither runs nor draws from the stream
     plain, plain_after = run(0)
     assert "potential_dense_equivalence" not in plain

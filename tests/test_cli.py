@@ -388,6 +388,43 @@ def test_evolve_nan_support_threshold_is_usage_error(tree_file, kernel_file, tmp
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["1", "inf"])
+def test_evolve_support_threshold_of_one_or_more_is_usage_error(
+    tree_file, kernel_file, tmp_path, capsys, tol
+):
+    # the packet has nonzero mean and leaks out of r.0; a threshold that
+    # leaves no support ball would report its outside mass as 0
+    initial = _write_initial(tmp_path, [1.0, 2.0, 0.0, 0.0])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--times", "0,1", "--tol", tol, "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "--tol must be in [0, 1)" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["schrodinger", "potential"])
+def test_evolve_rejects_an_infinite_hbar(tree_file, kernel_file, tmp_path, capsys, mode):
+    initial = _write_initial(tmp_path, [1.0, -1.0, 0.0, 0.0])
+    (tmp_path / "u").mkdir()
+    potential = _write_initial(tmp_path / "u", [0.5, -0.25, 1.0, 0.0])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--mode", mode, "--potential", str(potential),
+            "--times", "0,1", "--hbar", "inf", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "hbar must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_bad_times_is_usage_error(tree_file, kernel_file, tmp_path):
     initial = _write_initial(tmp_path, np.ones(4))
     rc = main(

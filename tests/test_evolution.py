@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 import ultrawave as uw
 from ultrawave.certify import (
@@ -10,7 +11,13 @@ from ultrawave.certify import (
     random_tree,
 )
 from ultrawave import evolution
-from ultrawave.evolution import free_propagator, lanczos_evolve_with_potential, real_matvec
+from ultrawave.evolution import (
+    bessel_j,
+    chebyshev_evolve_with_potential,
+    chebyshev_expm,
+    free_propagator,
+    real_matvec,
+)
 
 
 def _packet(tree, kernel, values):
@@ -89,6 +96,12 @@ def test_evolution_config_validation():
         uw.EvolutionConfig(times=(1.0,), hbar=0.0)
     with pytest.raises(ValueError, match="finite"):
         uw.EvolutionConfig(times=(np.inf,))
+
+
+@pytest.mark.parametrize("hbar", [np.inf, -np.inf, np.nan])
+def test_evolution_config_rejects_a_non_finite_hbar(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        uw.EvolutionConfig(times=(1.0,), hbar=hbar)
 
 
 # -- heat flow ----------------------------------------------------------------
@@ -271,7 +284,7 @@ def test_lanczos_potential_evolution_matches_expm(seed):
     # unsorted, repeated, zero and negative times
     times = (0.6, -0.3, 0.0, 0.25, 0.6, -0.6)
     config = uw.EvolutionConfig(times=times, hbar=hbar)
-    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, hbar), values)
     np.testing.assert_allclose(states[2], values, rtol=0, atol=1e-14)
 
@@ -284,7 +297,7 @@ def test_lanczos_with_zero_kernel_matches_expm():
     potential = rng.uniform(-3.0, 3.0, tree.n_leaves)
     times = (2.0, -1.0)
     config = uw.EvolutionConfig(times=times, hbar=0.5)
-    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 0.5), values)
 
 
@@ -294,7 +307,7 @@ def test_lanczos_on_two_leaves_matches_expm(lopsided_tree):
     potential = np.array([0.3, -0.2])
     times = (0.4, -0.3, 0.5)
     config = uw.EvolutionConfig(times=times)
-    states = lanczos_evolve_with_potential(values, potential, lopsided_tree, kernel, config)
+    states = chebyshev_evolve_with_potential(values, potential, lopsided_tree, kernel, config)
     want = _expm_states(lopsided_tree, kernel, values, potential, times, 1.0)
     _assert_close(lopsided_tree, states, want, values)
 
@@ -309,7 +322,7 @@ def test_lanczos_under_a_large_constant_potential_matches_expm(seed):
     potential = 1e6 + rng.uniform(-1.0, 1.0, tree.n_leaves)
     times = (3.0, -1.0, 0.5)
     config = uw.EvolutionConfig(times=times)
-    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
 
 
@@ -354,7 +367,7 @@ def test_lanczos_is_accurate_on_the_stiff_side_too():
     tree, kernel, values, potential = _stiff_instance()
     times = (0.5, -0.2)
     config = uw.EvolutionConfig(times=times)
-    states = lanczos_evolve_with_potential(values, potential, tree, kernel, config)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
 
 
@@ -368,11 +381,145 @@ def test_dense_route_is_bounded_in_size():
 
 
 def test_lanczos_of_the_zero_state_is_zero(binary_tree, binary_kernel):
-    states = lanczos_evolve_with_potential(
+    states = chebyshev_evolve_with_potential(
         np.zeros(4), np.ones(4), binary_tree, binary_kernel, uw.EvolutionConfig(times=(1.0, -2.0))
     )
     for state in states:
         np.testing.assert_array_equal(state, 0.0)
+
+
+def _bessel_by_quadrature(x, orders, points=4096):
+    """J_k(x) = mean of cos(k tau - x sin tau) over ``points`` equispaced
+    tau, exact up to J_{points - k}(x); in long double, with k tau reduced
+    modulo 2 pi in integers."""
+    m = np.arange(points)
+    turns = (orders[:, None] * m) % points
+    tau = 2 * np.pi * np.longdouble(1) / points
+    phase = tau * turns - np.longdouble(x) * np.sin(tau * m)
+    return np.cos(phase).mean(axis=1).astype(float)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 40.0, 80.0, 1e3])
+def test_bessel_values_match_independent_references(x):
+    count = int(1.5 * x) + 30
+    got = bessel_j(x, count)
+    assert got.shape == (count,)
+    if x < 1e3:
+        np.testing.assert_allclose(got, jv(np.arange(count), x), rtol=0, atol=1e-14)
+    else:
+        # scipy's jv is itself off by up to 1.8e-14 here (against 40-digit
+        # mpmath), so every third order is checked against the quadrature
+        orders = np.arange(0, count, 3)
+        want = _bessel_by_quadrature(x, orders)
+        np.testing.assert_allclose(got[orders], want, rtol=0, atol=1e-14)
+
+
+def _counting_products(monkeypatch):
+    """Count the operator products inside every chebyshev_expm call."""
+    products = []
+
+    def counting(matvec, *args):
+        def counted(g):
+            products.append(1)
+            return matvec(g)
+
+        return chebyshev_expm(counted, *args)
+
+    monkeypatch.setattr(evolution, "chebyshev_expm", counting)
+    return products
+
+
+def _caterpillar(n):
+    """n leaves, one off each ball of a spine of depth n - 1."""
+    balls = [uw.BallSpec("s0", None, 1.0)]
+    for i in range(n - 1):
+        diameter = 1 / (i + 2)
+        balls += [
+            uw.BallSpec(f"l{i}", f"s{i}", diameter),
+            uw.BallSpec(f"s{i + 1}", f"s{i}", diameter),
+        ]
+    leaves = [f"l{i}" for i in range(n - 1)] + [f"s{n - 1}"]
+    measures = np.random.default_rng(n).uniform(0.5, 2.0, n)
+    spec = uw.TreeSpec(balls=tuple(balls), leaf_measures=dict(zip(leaves, measures)))
+    return uw.build_tree(spec)
+
+
+def _star(n):
+    balls = [uw.BallSpec("r", None, 1.0)] + [uw.BallSpec(f"x{i}", "r", 0.5) for i in range(n)]
+    measures = np.random.default_rng(n).uniform(0.5, 2.0, n) / n
+    return uw.build_tree(
+        uw.TreeSpec(balls=tuple(balls), leaf_measures={f"x{i}": m for i, m in enumerate(measures)})
+    )
+
+
+@pytest.mark.parametrize("shape", ["caterpillar", "star"])
+def test_chebyshev_on_adversarial_shapes_matches_expm(shape):
+    tree = _caterpillar(120) if shape == "caterpillar" else _star(1000)
+    rng = np.random.default_rng(36)
+    kernel = random_kernel(rng, tree)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-2.0, 2.0, tree.n_leaves)
+    times = (1.5, -0.4)
+    config = uw.EvolutionConfig(times=times, hbar=0.8)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 0.8), values)
+
+
+def test_chebyshev_of_zero_width_is_a_pure_phase(monkeypatch, binary_tree):
+    # zero kernel and a constant potential: H / hbar is c / hbar times one
+    products = _counting_products(monkeypatch)
+    kernel = uw.constant_kernel(binary_tree, 0.0)
+    values = random_leaf_values(np.random.default_rng(37), binary_tree)
+    potential = np.full(4, 0.7)
+    times = (2.0, -1.0, 0.0)
+    config = uw.EvolutionConfig(times=times, hbar=0.5)
+    states = chebyshev_evolve_with_potential(values, potential, binary_tree, kernel, config)
+    assert not products
+    want = _expm_states(binary_tree, kernel, values, potential, times, 0.5)
+    _assert_close(binary_tree, states, want, values)
+    for got, t in zip(states, times):
+        np.testing.assert_allclose(got, np.exp(-1.4j * t) * values, rtol=1e-15)
+
+
+def test_chebyshev_of_degree_above_ten_thousand_matches_expm(monkeypatch):
+    products = _counting_products(monkeypatch)
+    rng = np.random.default_rng(38)
+    tree = random_tree(rng, min_leaves=20, max_leaves=40)
+    kernel = random_kernel(rng, tree)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
+    times = (-4000.0, 40.0, 1700.0)
+    config = uw.EvolutionConfig(times=times)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
+    assert len(products) >= 10_000
+    _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
+
+
+def test_chebyshev_product_count_on_the_512_leaf_tree(monkeypatch):
+    products = _counting_products(monkeypatch)
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    rng = np.random.default_rng(39)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-5.0, 5.0, tree.n_leaves)
+    config = uw.EvolutionConfig(times=(0.0, 0.5, 1.0, -2.0))
+    chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
+    assert len(products) == 76
+
+
+def test_chebyshev_expm_rejects_non_finite_input_before_any_product():
+    def matvec(g):
+        raise AssertionError("no product may be taken")
+
+    start = np.ones(3, dtype=complex)
+    with pytest.raises(ValueError, match="half-width must be finite"):
+        chebyshev_expm(matvec, start, (1.0,), np.inf)
+    with pytest.raises(ValueError, match="half-width must be finite"):
+        chebyshev_expm(matvec, start, (1.0,), np.nan)
+    with pytest.raises(ValueError, match="times must be finite.*got nan"):
+        chebyshev_expm(matvec, start, (1.0, np.nan), 2.0)
+    with pytest.raises(ValueError, match=r"product with the half-width 1e\+200; got 1e\+200"):
+        chebyshev_expm(matvec, start, (1.0, 1e200), 1e200)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
