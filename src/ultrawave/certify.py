@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ball_tree import BallSpec, BallTree, TreeSpec, build_tree
+from .ball_tree import BallSpec, BallTree, BallValues, TreeSpec, build_tree
 from .evolution import (
     DensePropagator,
     EvolutionConfig,
@@ -223,16 +223,21 @@ def unitarity_checks(
 def _potential_deviation(
     tree: BallTree, kernel: SupKernel, rng: np.random.Generator
 ) -> float:
-    """Relative gap between the Chebyshev potential route and the dense propagator."""
+    """Largest relative gap between the Chebyshev potential route and the
+    dense propagator over three sample times in [-1, 1), one of them
+    negative, evolved by one Chebyshev call."""
     values = random_leaf_values(rng, tree)
     potential = rng.uniform(-1.0, 1.0, tree.n_leaves)
-    t = float(rng.uniform(0.0, 1.0))
-    (state,) = chebyshev_evolve_with_potential(
-        values, potential, tree, kernel, EvolutionConfig(times=(t,))
+    times = rng.uniform(0.0, 1.0, 3) * [1.0, 1.0, -1.0]
+    states = chebyshev_evolve_with_potential(
+        values, potential, tree, kernel, EvolutionConfig(times=tuple(times))
     )
-    hamiltonian = dense_operator(tree, kernel) + np.diag(potential)
-    dense_state = DensePropagator(tree, hamiltonian).schrodinger(values, t)
-    return tree.norm(state - dense_state) / max(tree.norm(values), _TINY)
+    propagator = DensePropagator(tree, dense_operator(tree, kernel) + np.diag(potential))
+    norm0 = max(tree.norm(values), _TINY)
+    return max(
+        tree.norm(state - propagator.schrodinger(values, t)) / norm0
+        for state, t in zip(states, times.tolist())
+    )
 
 
 def heat_checks(
@@ -333,11 +338,11 @@ def corrupt_basis_sign(basis: WaveletBasis) -> WaveletBasis:
 
 
 def corrupt_spectrum(spec: Spectrum) -> Spectrum:
-    """Shift one eigenvalue by +1 (mutation control)."""
-    eigenvalues = dict(spec.eigenvalues)
-    first = next(iter(eigenvalues))
-    eigenvalues[first] = eigenvalues[first] + 1.0
-    return Spectrum(eigenvalues=eigenvalues, constant_eigenvalue=spec.constant_eigenvalue)
+    """Shift the root's eigenvalue by +1 (mutation control)."""
+    tree = spec.eigenvalues.tree
+    eigenvalues = spec.for_tree(tree).copy()
+    eigenvalues[0] += 1.0
+    return replace(spec, eigenvalues=BallValues(tree, eigenvalues))
 
 
 # -- aggregation -------------------------------------------------------------

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -174,7 +177,7 @@ def evolve_with_potential(
     """
     v, u = _potential_inputs(tree, values, potential)
     spec = build_spectrum(tree, kernel)
-    low, high = _spectral_bounds(spec, u, config.hbar)
+    low, high = _spectral_bounds(spec.for_tree(tree), u, config.hbar)
     longest = max((abs(t) for t in config.times), default=0.0)
     if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
         hamiltonian = config.hbar**2 * dense_operator(tree, kernel) + np.diag(u)
@@ -204,7 +207,7 @@ def _chebyshev_route(
     lam = hbar * spec.for_basis(basis)
     # the expansion runs on H / hbar - centre, whose spectrum lies in
     # [-half_width, half_width]; the centre comes back as a phase
-    low, high = _spectral_bounds(spec, u, hbar)
+    low, high = _spectral_bounds(spec.for_tree(tree), u, hbar)
     centre = (low + high) / 2
     shift = u / hbar - centre
 
@@ -231,10 +234,10 @@ def _potential_inputs(tree: BallTree, values, potential) -> tuple[np.ndarray, np
     return v, u
 
 
-def _spectral_bounds(spec: Spectrum, u: np.ndarray, hbar: float) -> tuple[float, float]:
+def _spectral_bounds(eigenvalues: np.ndarray, u: np.ndarray, hbar: float) -> tuple[float, float]:
     """Interval holding the spectrum of H / hbar (the operator is positive)."""
     low = float(np.min(u)) / hbar
-    high = hbar * max(spec.eigenvalues.values(), default=0.0) + float(np.max(u)) / hbar
+    high = hbar * float(np.max(eigenvalues, initial=0.0)) + float(np.max(u)) / hbar
     return low, high
 
 
@@ -607,20 +610,88 @@ def _wavelet_vector(tree: BallTree, ball_id: str, index: int) -> np.ndarray:
 def read_leaf_values(path, tree: BallTree) -> np.ndarray:
     """Read a leaf-values CSV (columns leaf_id, re, im) in canonical order.
 
-    Every leaf must appear and every value must be finite.
+    Every leaf must appear exactly once and every value must be finite; an
+    empty or absent ``im`` reads as 0.  The rows are read as columns: ids
+    are matched in one pass (a file in canonical leaf order needs no
+    lookup) and each value column is converted in one call.
     """
-    seen: dict[str, complex] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            leaf = row["leaf_id"]
-            tree.leaf_index(leaf)
-            seen[leaf] = complex(float(row["re"]), float(row.get("im") or 0.0))
-    missing = [l for l in tree.leaves if l not in seen]
-    if missing:
-        raise ValueError(f"{path} is missing leaves: {missing[:5]!r}")
-    values = np.array([seen[l] for l in tree.leaves])
+    header, columns = _csv_columns(path)
+    column = {name: k for k, name in enumerate(header)}
+    if columns and "leaf_id" not in column:
+        raise ValueError(f"{path} has no 'leaf_id' column")
+    ids = columns[column["leaf_id"]] if columns else ()
+    if len(ids) == tree.n_leaves and all(map(operator.eq, ids, tree.leaves)):
+        leaf = np.arange(tree.n_leaves)  # canonical order: nothing to look up
+    else:
+        leaf = _leaf_rows(path, tree, ids)
+    values = np.empty(tree.n_leaves, dtype=complex)
+    values.real[leaf] = _float_column(path, columns, column.get("re"), "re")
+    values.imag[leaf] = _float_column(path, columns, column.get("im"), "im", empty=0.0)
     _require_finite(tree, values, f"value in {path}")
     return values
+
+
+def _leaf_rows(path, tree: BallTree, ids) -> np.ndarray:
+    """Canonical leaf index of each row's id; every leaf must be listed once."""
+    balls = tree.positions(ids)
+    is_leaf = balls >= 0
+    is_leaf[is_leaf] = tree.child_count[balls[is_leaf]] == 0
+    if not is_leaf.all():
+        tree.leaf_index(ids[np.argmin(is_leaf)])  # raises, naming the row's id
+    leaf = tree.leaf_start[balls]
+    first_rows = np.unique(leaf, return_index=True)[1]
+    if first_rows.size < leaf.size:
+        repeated = np.ones(leaf.size, dtype=bool)
+        repeated[first_rows] = False
+        raise ValueError(f"{path} lists leaf {ids[np.argmax(repeated)]!r} more than once")
+    if leaf.size < tree.n_leaves:
+        listed = np.zeros(tree.n_leaves, dtype=bool)
+        listed[leaf] = True
+        missing = tree.ids_of(tree.leaf_balls[~listed][:5]).tolist()
+        raise ValueError(f"{path} is missing leaves: {missing!r}")
+    return leaf
+
+
+def _csv_columns(path) -> tuple[list[str], list]:
+    """The header and the columns of a CSV file, as ``csv.reader`` reads them.
+
+    Blank lines are skipped and short rows padded with None.  A file with
+    no quote and no bare CR whose rows all have as many fields as its
+    header, the form every writer here produces, is split with string
+    methods; any other file goes through ``csv.reader``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    body = text.replace("\r\n", "\n")
+    if '"' not in body and "\r" not in body:
+        header, *rows = body.split("\n")
+        del body  # at 2**20 rows each copy is about 60 MB: drop it once split
+        rows = list(filter(None, rows))
+        width = header.count(",") + 1
+        if header and rows and set(map(str.count, rows, repeat(","))) == {width - 1}:
+            joined = ",".join(rows)
+            del rows
+            fields = joined.split(",")
+            del joined
+            return header.split(","), [fields[k::width] for k in range(width)]
+        if header and not rows:
+            return header.split(","), []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return next(reader, []), list(zip_longest(*filter(None, reader)))
+
+
+def _float_column(path, columns, k: int | None, name: str, empty: float | None = None):
+    """Column ``k`` converted as ``float`` converts each field.
+
+    A missing column or field, or an empty field, reads as ``empty`` when
+    that is given and is an error otherwise.
+    """
+    cells = columns[k] if k is not None and k < len(columns) else [None] * len(columns[0])
+    if None in cells or "" in cells:
+        if empty is None:
+            raise ValueError(f"{path} has a row without a {name!r} value")
+        cells = [empty if cell is None or cell == "" else cell for cell in cells]
+    return np.array(cells, dtype=float)
 
 
 def write_trajectory(path, tree: BallTree, times, states) -> None:

@@ -11,6 +11,13 @@ per strict ancestor, weighted by the measure that ancestor adds around the
 ball.  On a finite tree the ancestor sum is finite, so no summability
 condition arises.
 
+Kernels and spectra are arrays: one float per internal ball, over the
+tree's internal balls in preorder, read by ball id through
+:class:`~.ball_tree.BallValues`.  ``spectrum`` fills the whole array in one
+root-down sweep, a level of the tree at a time, adding the same terms in
+the same order as the per-ball path sum of ``eigenvalue``, and
+``Spectrum.for_basis`` is one gather by the basis plan's ball indices.
+
 ``dense_operator`` builds the full leaf-by-leaf matrix straight from the
 pair definition, with no reference to wavelets or the eigenvalue sum.
 ``verify_spectrum`` certifies the closed form against the same definition:
@@ -23,18 +30,24 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
-from .ball_tree import BallTree, _csv_fields, _write_csv
+from .ball_tree import BallTree, BallValues, _csv_fields, _write_csv, internal_values
 from .wavelet import WaveletBasis
 
 
 @dataclass(frozen=True)
 class SupKernel:
-    """Nonnegative kernel value per internal ball."""
+    """Nonnegative kernel value per internal ball.
+
+    ``values`` is a :class:`BallValues` (an array over the internal balls
+    in preorder) when built by :func:`make_kernel` or a preset.
+    """
 
     values: Mapping[str, float]
 
@@ -44,49 +57,96 @@ class SupKernel:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue per internal ball; the constant element has eigenvalue 0."""
+    """Eigenvalue per internal ball; the constant element has eigenvalue 0.
+
+    ``eigenvalues`` is a :class:`BallValues` when computed by
+    :func:`spectrum`; any mapping from ball id is accepted.
+    """
 
     eigenvalues: Mapping[str, float]
     constant_eigenvalue: float = 0.0
 
+    def for_tree(self, tree: BallTree) -> np.ndarray:
+        """Eigenvalue per internal ball of ``tree``, in preorder."""
+        return internal_values(self.eigenvalues, tree)
+
     def for_basis(self, basis: WaveletBasis) -> np.ndarray:
         """Eigenvalue per basis element, in basis order (constant last)."""
-        per_ball = np.array([self.eigenvalues[b] for b in basis.tree.internal], dtype=float)
-        return np.append(per_ball[basis.plan.ball], self.constant_eigenvalue)
+        return np.append(self.for_tree(basis.tree)[basis.plan.ball], self.constant_eigenvalue)
+
+
+def _checked_kernel(tree: BallTree, values: np.ndarray) -> SupKernel:
+    """A kernel from one value per internal ball, rejecting negative or non-finite values."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        raise ValueError(
+            f"kernel value for ball {tree.internal[bad[0]]!r} must be >= 0, "
+            f"got {values[bad[0]].item()}"
+        )
+    return SupKernel(values=BallValues(tree, values))
 
 
 def make_kernel(tree: BallTree, values: Mapping[str, float]) -> SupKernel:
-    """Validate a kernel: nonnegative and covering every internal ball."""
-    cleaned: dict[str, float] = {}
-    for ball_id, value in values.items():
-        ball = tree.ball(ball_id)
-        if ball.is_leaf:
-            raise ValueError(f"kernel value given for leaf ball {ball_id!r}")
-        v = float(value)
-        if not np.isfinite(v) or v < 0:
-            raise ValueError(f"kernel value for ball {ball_id!r} must be >= 0, got {v}")
-        cleaned[ball_id] = v
-    missing = [b for b in tree.internal if b not in cleaned]
-    if missing:
-        raise ValueError(f"kernel is missing internal balls: {missing[:5]!r}")
-    return SupKernel(values=cleaned)
+    """Validate a kernel: nonnegative and covering every internal ball.
+
+    The first offending entry, in the mapping's order, is named: an unknown
+    ball, a leaf, or a negative or non-finite value.
+    """
+    names = list(values)
+    given = np.array([float(v) for v in values.values()], dtype=float)
+    balls = tree.positions(names)
+    leaf = tree.child_count[balls] == 0
+    bad = ~(np.isfinite(given) & (given >= 0))
+    problems = np.flatnonzero((balls < 0) | leaf | bad)
+    if problems.size:
+        i = problems[0]
+        if balls[i] < 0:
+            tree.index(names[i])  # raises, naming the unknown ball
+        if leaf[i]:
+            raise ValueError(f"kernel value given for leaf ball {names[i]!r}")
+        raise ValueError(f"kernel value for ball {names[i]!r} must be >= 0, got {given[i].item()}")
+    full = np.full(len(tree), np.nan)
+    full[balls] = given
+    kernel = full[tree.internal_balls]
+    missing = np.flatnonzero(np.isnan(kernel))[:5]
+    if missing.size:
+        raise ValueError(
+            f"kernel is missing internal balls: {[tree.internal[i] for i in missing]!r}"
+        )
+    return SupKernel(values=BallValues(tree, kernel))
 
 
 def constant_kernel(tree: BallTree, value: float = 1.0) -> SupKernel:
-    return make_kernel(tree, {b: value for b in tree.internal})
+    return _checked_kernel(tree, np.full(len(tree.internal_balls), float(value)))
 
 
 def vladimirov_kernel(tree: BallTree, alpha: float) -> SupKernel:
     """Fractional-differentiation style preset: T(I) = diameter(I)**(-alpha-1).
 
     On a regular p-ary tree this reproduces the scaling of p-adic
-    fractional differentiation of order ``alpha``.
+    fractional differentiation of order ``alpha``.  Each value is Python's
+    float power (``np.power`` rounds differently on some inputs), and a
+    diameter whose power overflows is rejected, naming its ball.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return make_kernel(
-        tree, {b: tree.ball(b).diameter ** (-alpha - 1.0) for b in tree.internal}
-    )
+    diameters = tree.diameter[tree.internal_balls].tolist()
+    exponent = -alpha - 1.0
+    try:
+        kernel = np.fromiter(map(pow, diameters, repeat(exponent)), float, len(diameters))
+    except OverflowError:
+        for ball_id, d in zip(tree.internal, diameters):
+            try:
+                d**exponent
+            except OverflowError:
+                raise ValueError(
+                    f"kernel value diameter ** (-alpha - 1) overflows at ball {ball_id!r}: "
+                    f"diameter {d}, alpha {alpha}"
+                ) from None
+        raise
+    return _checked_kernel(tree, kernel)
 
 
 def load_kernel(path, tree: BallTree) -> SupKernel:
@@ -108,36 +168,49 @@ def eigenvalue(tree: BallTree, kernel: SupKernel, ball_id: str) -> float:
 
     T(I) nu(I) plus, for each strict ancestor J, the kernel value at J times
     the measure J adds beyond its child on the path down to I.  Terms are
-    accumulated from the root downward.
+    accumulated from the root downward, along the parent array.
     """
-    ball = tree.ball(ball_id)
-    if ball.is_leaf:
+    ball = tree.index(ball_id)
+    if not tree.child_count[ball]:
         raise ValueError(f"eigenvalues attach to internal balls, got leaf {ball_id!r}")
-    path = [ball_id]
-    while path[-1] != tree.root:
-        path.append(tree.ball(path[-1]).parent)
+    path = [ball]
+    while path[-1]:
+        path.append(int(tree.parent[path[-1]]))
     path.reverse()
+    nu = tree.measure.tolist()
     lam = 0.0
     for outer, inner in zip(path, path[1:]):
-        lam += kernel[outer] * (tree.ball(outer).measure - tree.ball(inner).measure)
-    lam += kernel[ball_id] * ball.measure
+        lam += kernel[tree.ids_of(outer)] * (nu[outer] - nu[inner])
+    lam += kernel[ball_id] * nu[ball]
     return lam
 
 
 def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
-    """Eigenvalues of every internal ball in one root-down sweep."""
-    eigs: dict[str, float] = {}
-    stack: list[tuple[str, float]] = [(tree.root, 0.0)]
-    while stack:
-        node, ancestors = stack.pop()
-        ball = tree.ball(node)
-        if ball.is_leaf:
-            continue
-        t = kernel[node]
-        eigs[node] = ancestors + t * ball.measure
-        for child in ball.children:
-            stack.append((child, ancestors + t * (ball.measure - tree.ball(child).measure)))
-    return Spectrum(eigenvalues=eigs)
+    """Eigenvalues of every internal ball in one root-down sweep, a level at a time.
+
+    With a(root) = 0 and a(B) = a(P) + T(P) (nu(P) - nu(B)) for a child B of
+    P, the eigenvalue of B is a(B) + T(B) nu(B): the same additions, in the
+    same order, as the path sum of :func:`eigenvalue`.  A ball whose
+    eigenvalue is not finite (the kernel times the measures overflows) is
+    rejected by name.
+    """
+    t = np.zeros(len(tree))
+    t[tree.internal_balls] = internal_values(kernel.values, tree)
+    nu = tree.measure
+    a = np.zeros(len(tree))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in tree.levels[1:-1]:  # the deepest level holds only leaves
+            up = tree.parent[level]
+            a[level] = a[up] + t[up] * (nu[up] - nu[level])
+        internal = tree.internal_balls
+        lam = a[internal] + t[internal] * nu[internal]
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise ValueError(
+            f"eigenvalue of ball {tree.internal[bad[0]]!r} is not finite: {float(lam[bad[0]])}; "
+            "the kernel values times the measures overflow"
+        )
+    return Spectrum(eigenvalues=BallValues(tree, lam))
 
 
 def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
@@ -146,9 +219,13 @@ def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     sup_kernel = np.zeros((n, n))
     # depth-first preorder visits parents before children, so the deepest
     # common ball wins each pair entry
-    for ball_id in tree.internal:
-        sl = tree.leaf_slice(ball_id)
-        sup_kernel[sl, sl] = kernel[ball_id]
+    internal = tree.internal_balls
+    for start, stop, value in zip(
+        tree.leaf_start[internal].tolist(),
+        tree.leaf_stop[internal].tolist(),
+        internal_values(kernel.values, tree).tolist(),
+    ):
+        sup_kernel[start:stop, start:stop] = value
     return sup_kernel
 
 
@@ -247,11 +324,10 @@ def verify_spectrum(
     sym *= np.outer(-r, r)
     np.fill_diagonal(sym, diagonal)
     numeric = np.sort(np.linalg.eigvalsh(sym))
-    analytic = [spec.constant_eigenvalue]
-    for ball_id in tree.internal:
-        arity = len(tree.ball(ball_id).children)
-        analytic.extend([spec.eigenvalues[ball_id]] * (arity - 1))
-    analytic = np.sort(np.array(analytic))
+    arity = tree.child_count[tree.internal_balls]
+    analytic = np.sort(
+        np.append(np.repeat(spec.for_tree(tree), arity - 1), spec.constant_eigenvalue)
+    )
     if analytic.shape != numeric.shape:
         raise ValueError(
             f"eigenvalue count mismatch: {analytic.size} analytic vs {numeric.size} dense"
@@ -286,8 +362,12 @@ def verify_spectrum(
 def write_spectrum(path, tree: BallTree, spec: Spectrum) -> None:
     """Export as CSV columns ball_id, p_I, lambda (internal balls, tree order)."""
     lines = (
-        f"{field},{len(tree.ball(ball_id).children)},{float(spec.eigenvalues[ball_id])!r}"
-        for field, ball_id in zip(_csv_fields(tree.internal), tree.internal)
+        f"{field},{arity},{lam!r}"
+        for field, arity, lam in zip(
+            _csv_fields(tree.internal),
+            tree.child_count[tree.internal_balls].tolist(),
+            spec.for_tree(tree).tolist(),
+        )
     )
     _write_csv(path, ["ball_id", "p_I", "lambda"], lines)
 

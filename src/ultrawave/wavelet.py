@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball_tree import BallTree, _csv_fields, _write_csv
+from .ball_tree import BallTree, _csv_fields, _write_csv, running_sums
 
 #: Index label used for the constant basis element in coefficient CSVs.
 CONSTANT_LABEL = "const"
@@ -132,9 +132,12 @@ class WaveletBasis:
     def __init__(self, tree: BallTree, plan: TransformPlan):
         self.tree = tree
         self.plan = plan
-        self.labels: tuple[tuple[str, int | str], ...] = tuple(
-            zip([tree.internal[b] for b in plan.ball.tolist()], plan.index.tolist())
-        ) + ((tree.root, CONSTANT_LABEL),)
+
+    @cached_property
+    def labels(self) -> tuple[tuple[str, int | str], ...]:
+        tree, plan = self.tree, self.plan
+        balls = tree.ids_of(tree.internal_balls[plan.ball]).tolist()
+        return tuple(zip(balls, plan.index.tolist())) + ((tree.root, CONSTANT_LABEL),)
 
     @property
     def size(self) -> int:
@@ -178,7 +181,7 @@ class WaveletBasis:
         the sum of internal ball b.
         """
         p = self.plan
-        first = np.searchsorted(p.ball, np.arange(len(self.tree.internal) + 1))
+        first = np.searchsorted(p.ball, np.arange(len(self.tree.internal_balls) + 1))
         first_child = p.child_node[first[:-1]] - 1  # siblings are consecutive nodes
         source = np.empty(len(p.parent), dtype=np.intp)
         source[p.leaf_node] = np.arange(self.tree.n_leaves)
@@ -326,72 +329,55 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def build_basis(tree: BallTree) -> WaveletBasis:
-    """Construct the wavelet basis of a tree in O(n).
+    """Construct the wavelet basis of a tree in O(n), from the tree's arrays.
 
     Deterministic: the same tree always yields bitwise-identical vectors.
+    The pyramid's nodes are the tree's sibling order (``tree.kids``) after
+    the root, and the Helmert masses before each child are running sums of
+    the sibling measures in child order, as a loop over the children would
+    add them.
     """
-    node_of = {tree.root: 0}
-    parent, depth, rank, rank_back = [0], [0], [0], [0]
-    ball, index, ball_start, child_start, child_stop = [], [], [], [], []
-    head, tail, child_node = [], [], []
-    for b, ball_id in enumerate(tree.internal):
-        up = node_of[ball_id]
-        children = tree.ball(ball_id).children
-        start = tree.leaf_slice(ball_id).start
-        mass = 0.0
-        for j, child in enumerate(children):
-            node = len(parent)
-            node_of[child] = node
-            parent.append(up)
-            depth.append(depth[up] + 1)
-            rank.append(j)
-            rank_back.append(len(children) - 1 - j)
-            measure = tree.ball(child).measure
-            if j == 0:
-                mass = measure
-                continue
-            span = tree.leaf_slice(child)
-            ball.append(b)
-            index.append(j)
-            ball_start.append(start)
-            child_start.append(span.start)
-            child_stop.append(span.stop)
-            child_node.append(node)
-            head.append(mass)
-            tail.append(measure)
-            mass += measure
+    m = len(tree)
+    node_ball = np.concatenate(([0], tree.kids))
+    node_of = np.empty(m, dtype=np.intp)
+    node_of[node_ball] = np.arange(m)
+    parent = node_of[np.maximum(tree.parent[node_ball], 0)]  # the root is its own parent
+    up = tree.parent[tree.kids]
+    count = tree.child_count[up]
+    rank = np.arange(1, m) - 1 - tree.first_child[up]
+    internal = tree.internal_balls
+    measure = tree.measure[tree.kids]
+    mass = running_sums(measure, tree.first_child[internal], tree.child_count[internal])
 
-    parent_arr = _frozen(parent, np.intp)
-    depth_arr = np.array(depth)
-    order = np.argsort(depth_arr, kind="stable")
-    bounds = np.searchsorted(depth_arr[order], np.arange(depth_arr.max() + 2))
+    wavelet = np.flatnonzero(rank)  # every child but the first: position in kids
+    child = tree.kids[wavelet]
+    head = mass[wavelet - 1]
+    tail = measure[wavelet]
+    total = head + tail
     levels = []
-    for d in range(depth_arr.max()):
-        # the stable sort keeps node numbers ascending within a depth, and
-        # they follow the depth-first order, so kids come grouped by parent
-        kids = order[bounds[d + 1] : bounds[d + 2]]
-        parents, offsets = np.unique(parent_arr[kids], return_index=True)
-        for a in (parents, kids, offsets):
-            a.flags.writeable = False
-        levels.append((parents, kids, offsets))
+    for level in tree.levels[1:]:
+        # within a depth preorder is sibling order, so the nodes ascend and
+        # come grouped by parent
+        kids = node_of[level]
+        parents, offsets = np.unique(parent[kids], return_index=True)
+        levels.append(tuple(_frozen(a, np.intp) for a in (parents, kids, offsets)))
 
-    head_arr = np.array(head, dtype=float)
-    tail_arr = np.array(tail, dtype=float)
-    total = head_arr + tail_arr
+    rank_all = np.concatenate(([0], rank))
+    rank_back = np.concatenate(([0], count - 1 - rank))
     plan = TransformPlan(
-        ball=_frozen(ball, np.intp),
-        index=_frozen(index, np.intp),
-        ball_start=_frozen(ball_start, np.intp),
-        child_start=_frozen(child_start, np.intp),
-        child_stop=_frozen(child_stop, np.intp),
-        pos=_frozen(_helmert_weight(head_arr, tail_arr, total), float),
-        neg=_frozen(-_helmert_weight(tail_arr, head_arr, total), float),
+        ball=_frozen(tree.internal_rank[up[wavelet]], np.intp),
+        index=_frozen(rank[wavelet], np.intp),
+        ball_start=_frozen(tree.leaf_start[up[wavelet]], np.intp),
+        child_start=_frozen(tree.leaf_start[child], np.intp),
+        child_stop=_frozen(tree.leaf_stop[child], np.intp),
+        pos=_frozen(_helmert_weight(head, tail, total), float),
+        neg=_frozen(-_helmert_weight(tail, head, total), float),
         constant=1.0 / math.sqrt(tree.total_measure),
-        child_node=_frozen(child_node, np.intp),
-        leaf_node=_frozen([node_of[leaf] for leaf in tree.leaves], np.intp),
-        parent=parent_arr,
+        child_node=_frozen(wavelet + 1, np.intp),
+        leaf_node=_frozen(node_of[tree.leaf_balls], np.intp),
+        parent=_frozen(parent, np.intp),
         levels=tuple(levels),
-        scan=_scan_schedule(np.array(rank), np.array(rank_back)),
+        scan=_scan_schedule(rank_all, rank_back),
     )
     return WaveletBasis(tree, plan)
 
