@@ -204,7 +204,6 @@ class BallTree:
         self._position = np.empty_like(row)
         self._position[row] = np.arange(len(row))
         self._position.flags.writeable = False
-        self._scans = 0
         if lookup is not None:
             self.__dict__["_lookup"] = lookup  # id -> row
         self.parent = _frozen(arrays["parent"])
@@ -249,22 +248,8 @@ class BallTree:
         """The id lookup table (id -> row), built on first use when ``build_tree`` had none."""
         return dict(zip(self._ids.tolist(), range(len(self._ids))))
 
-    #: Ids found by a scan before the lookup table is built.
-    _SCANS = 8
-
     def _find(self, ball_id: str) -> int:
-        """Preorder number of a ball; ``KeyError`` for an unknown id.
-
-        Without a table from ``build_tree``, the first few ids are found by
-        one vectorized scan each (about 40 ms at 2**21 balls), so a run
-        that looks up a handful of ids never pays for the table (about 1 s).
-        """
-        if isinstance(ball_id, str) and "_lookup" not in self.__dict__ and self._scans < self._SCANS:
-            self._scans += 1
-            found = np.flatnonzero(self._ids == ball_id)
-            if not found.size:
-                raise KeyError(ball_id)
-            return int(self._position[found[0]])
+        """Preorder number of a ball; ``KeyError`` for an unknown id."""
         return int(self._position[self._lookup[ball_id]])
 
     def index(self, ball_id: str) -> int:
@@ -391,6 +376,11 @@ class BallTree:
         ``1e-12 * max|values|``, separates true zeros from rounding noise.
         Non-finite values have no support and are rejected.
         """
+        b = self._support_ball(values, tol)
+        return None if b is None else self.ids_of(b)
+
+    def _support_ball(self, values, tol: float | None = None) -> int | None:
+        """:meth:`ball_support` as a preorder number, which needs no id lookup."""
         v = self.as_leaf_values(values)
         _require_finite(self, v, "value")
         mags = np.abs(v)
@@ -403,7 +393,7 @@ class BallTree:
             return None
         # canonical leaf spans are contiguous, so the sup of the first and
         # last supported leaf covers everything in between
-        return self.ids_of(self._sup(self.leaf_balls[idx[0]], self.leaf_balls[idx[-1]]))
+        return self._sup(self.leaf_balls[idx[0]], self.leaf_balls[idx[-1]])
 
 
 class BallValues(Mapping):
@@ -645,6 +635,8 @@ def build_tree(spec: TreeSpec) -> BallTree:
     override, has_override = np.full(m, np.nan), np.zeros(m, dtype=bool)
     extra = spec.leaf_measures or {}
     if extra:
+        if lookup is None:  # a preset's links need no lookup, its leaf measures do
+            lookup = dict(zip(ids, range(m)))
         names = list(extra)
         rows = np.fromiter(map(lookup.get, names, repeat(-1)), np.intp, len(names))
         known = rows >= 0

@@ -166,6 +166,11 @@ def test_summary_bytes_match_csv_writer(odd_tree, tmp_path):
         _assert_same_bytes(
             write_summary, _reference_summary, tmp_path, odd_tree, times, states, reference_ball
         )
+    # the reference ball by preorder number, as the CLI passes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_summary(tmp_path / "n.csv", odd_tree, times, states, odd_tree.index(ODD_IDS[3]))
+        write_summary(tmp_path / "i.csv", odd_tree, times, states, ODD_IDS[3])
+    assert (tmp_path / "n.csv").read_bytes() == (tmp_path / "i.csv").read_bytes()
 
 
 def test_spectrum_bytes_match_csv_writer(odd_tree, tmp_path):

@@ -9,6 +9,7 @@ number exactly, on random trees, caterpillars (depth n - 1) and a
 """
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -260,6 +261,31 @@ def test_json_columns_read_as_ball_specs(tmp_path):
     ]
     assert spec.balls[1:] == (BallSpec("7", "r", 0.5), BallSpec("b", "r", 0.5))
     assert uw.build_tree(spec).leaves == ("7", "b")
+
+
+@pytest.mark.parametrize(
+    "leaf_measures, violations",
+    [
+        ({"r.0.1": 0.25}, None),  # matches the declared measure
+        ({"r.0.1": 0.5}, ["leaf 'r.0.1' has conflicting measures 0.25 and 0.5"]),
+        ({"r.9": 1.0}, ["leaf_measures names unknown ball 'r.9'"]),
+        ({"r.0": 1.0}, ["leaf_measures names internal ball 'r.0'"]),
+    ],
+)
+def test_preset_with_leaf_measures_builds_as_ball_specs(leaf_measures, violations):
+    """A preset's columns with ``leaf_measures`` give what its ``BallSpec`` list gives."""
+    preset = dataclasses.replace(padic_preset(2, 2), leaf_measures=leaf_measures)
+    listed = TreeSpec(balls=tuple(preset.balls), leaf_measures=leaf_measures)
+    if violations is None:
+        tree, want = uw.build_tree(preset), uw.build_tree(listed)
+        assert tree.order == want.order
+        assert _same_bits(tree.measure, want.measure)
+        assert tree.ball("r.0.1").measure == 0.25
+    else:
+        for spec in (preset, listed):
+            with pytest.raises(uw.InvalidTreeError) as err:
+                uw.build_tree(spec)
+            assert err.value.violations == violations
 
 
 def test_tree_layers_allocate_linearly():
