@@ -2,7 +2,6 @@
 measured ultrametric ball trees."""
 
 from .ball_tree import (
-    Ball,
     BallSpec,
     BallTree,
     InvalidTreeError,
@@ -23,7 +22,6 @@ from .evolution import (
     evolve_heat,
     evolve_schrodinger,
     evolve_with_potential,
-    free_propagator,
     spacetime_product_check,
 )
 from .pdo import (
@@ -44,7 +42,6 @@ from .wavelet import Wavelet, WaveletBasis, build_basis, mean
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball",
     "BallSpec",
     "BallTree",
     "DensePropagator",
@@ -68,7 +65,6 @@ __all__ = [
     "evolve_heat",
     "evolve_schrodinger",
     "evolve_with_potential",
-    "free_propagator",
     "load_kernel",
     "load_tree_spec",
     "make_kernel",

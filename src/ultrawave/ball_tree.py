@@ -30,10 +30,12 @@ quantity is a read-only numpy array indexed by that number:
 
 String ids are used only at the boundary.  They stay in the order of the
 specification, ``ids_of`` reads them by ball number, and one lookup table,
-built on first use, maps an id back to its number.  ``ball``, ``sup``,
-``leaf_slice`` and the other methods taking ids are thin views over the
-arrays.  :class:`BallValues` reads one float per internal ball, held in an
-array in preorder, as a mapping from ball id.
+built on first use, maps an id back to its number.  ``sup``, ``leaf_slice``
+and the other methods taking ids are thin views over the arrays.  A
+per-ball quantity such as a kernel or a spectrum is a :class:`BallValues`:
+one float per internal ball, in a read-only array in preorder, bound to its
+tree.  Its array is read through :func:`internal_values`, which checks the
+tree; reading by id through its mapping view is for the boundary.
 
 Trees are immutable once built and safe to share across threads.
 
@@ -49,7 +51,7 @@ import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice, repeat, zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -143,21 +145,6 @@ def _optional_floats(values: list) -> tuple[np.ndarray, np.ndarray]:
     out = np.full(len(values), np.nan)
     out[given] = [float(v) for v in values if v is not None]
     return out, given
-
-
-@dataclass(frozen=True)
-class Ball:
-    """A single ball: one node of the tree, as :meth:`BallTree.ball` reads it."""
-
-    id: str
-    parent: str | None
-    children: tuple[str, ...]
-    diameter: float
-    measure: float
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -292,21 +279,6 @@ class BallTree:
     def total_measure(self) -> float:
         return float(self.measure[0])
 
-    def ball(self, ball_id: str) -> Ball:
-        b = self.index(ball_id)
-        parent = int(self.parent[b])
-        first = int(self.first_child[b])
-        return Ball(
-            id=self.ids_of(b),
-            parent=None if parent < 0 else self.ids_of(parent),
-            children=tuple(self.ids_of(self.kids[first : first + self.child_count[b]]).tolist()),
-            diameter=float(self.diameter[b]),
-            measure=float(self.measure[b]),
-        )
-
-    def depth_of(self, ball_id: str) -> int:
-        return int(self.depths[self.index(ball_id)])
-
     def leaf_index(self, leaf_id: str) -> int:
         try:
             b = self._find(leaf_id)
@@ -320,11 +292,6 @@ class BallTree:
         """Contiguous range of canonical leaf indices below a ball."""
         b = self.index(ball_id)
         return slice(int(self.leaf_start[b]), int(self.leaf_stop[b]))
-
-    def contains_ball(self, outer: str, inner: str) -> bool:
-        """True when ball ``inner`` lies inside ball ``outer`` (or equals it)."""
-        a, b = self.index(outer), self.index(inner)
-        return bool(self.leaf_start[a] <= self.leaf_start[b] and self.leaf_stop[b] <= self.leaf_stop[a])
 
     # -- ultrametric structure --------------------------------------------
 
@@ -432,18 +399,24 @@ class BallValues(Mapping):
         return f"BallValues({dict(self.items())!r})"
 
 
-def internal_values(values: Mapping[str, float], tree: BallTree) -> np.ndarray:
-    """A mapping's values over ``tree.internal``, as an array in preorder.
+def internal_values(values: BallValues, tree: BallTree) -> np.ndarray:
+    """``values.array``, one float per internal ball of ``tree`` in preorder.
 
-    A :class:`BallValues` of the same tree, or of one with the same internal
-    ids, gives its array as it is; any other mapping is read id by id and
-    raises ``KeyError`` for a missing ball.
+    The values must be bound to ``tree`` or to a tree with the same internal
+    ball ids in the same order; otherwise ``ValueError`` names the first
+    internal ball where the two trees differ.
     """
-    if isinstance(values, BallValues) and (
-        values.tree is tree or values.tree.internal == tree.internal
-    ):
-        return values.array
-    return np.array([values[b] for b in tree.internal], dtype=float)
+    if values.tree is not tree and values.tree.internal != tree.internal:
+        k, (bound, here) = next(
+            (k, pair)
+            for k, pair in enumerate(zip_longest(values.tree.internal, tree.internal))
+            if pair[0] != pair[1]
+        )
+        raise ValueError(
+            f"values are bound to another tree: internal ball {k} in preorder is "
+            f"{bound!r} there and {here!r} here"
+        )
+    return values.array
 
 
 def _require_finite(tree: BallTree, values: np.ndarray, what: str) -> None:

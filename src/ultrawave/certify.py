@@ -29,7 +29,6 @@ from .evolution import (
     check_localization,
     evolve_heat,
     evolve_schrodinger,
-    free_propagator,
     real_matvec,
     spacetime_product_check,
 )
@@ -211,7 +210,7 @@ def unitarity_checks(
         ),
     ]
     if tree.n_leaves <= dense_leaf_limit:
-        dense_state = free_propagator(tree, kernel).schrodinger(values, t1)
+        dense_state = DensePropagator(tree, dense_operator(tree, kernel)).schrodinger(values, t1)
         deviation = tree.norm(first.leaf_values() - dense_state) / norm0
         checks.append(("spectral_dense_equivalence", deviation, 1e-8))
         checks.append(
@@ -312,7 +311,7 @@ def spacetime_checks(rng: np.random.Generator) -> list[Check]:
         tree = random_tree(rng, min_leaves=4, max_leaves=32)
         kernel = random_kernel(rng, tree, low=0.05, zero_fraction=0.0)
         ball = tree.internal[int(rng.integers(len(tree.internal)))]
-        arity = len(tree.ball(ball).children)
+        arity = int(tree.child_count[tree.index(ball)])
         picks.append((tree, kernel, ball, int(rng.integers(1, arity))))
     (tree_x, kernel_x, ball_x, index_x), (tree_t, kernel_t, ball_t, index_t) = picks
     report = spacetime_product_check(

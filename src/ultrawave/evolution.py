@@ -155,11 +155,6 @@ class DensePropagator:
         return self.expm_apply(values, -t)
 
 
-def free_propagator(tree: BallTree, kernel: SupKernel) -> DensePropagator:
-    """Dense propagator of the bare operator, for cross-checking."""
-    return DensePropagator(tree, dense_operator(tree, kernel))
-
-
 def evolve_with_potential(
     values, potential, tree: BallTree, kernel: SupKernel, config: EvolutionConfig
 ) -> list[np.ndarray]:
@@ -468,7 +463,7 @@ def check_localization(
     leakage = None
     if not mean_zero:
         if demonstrate_leakage and ball is not None:
-            propagator = free_propagator(tree, kernel)
+            propagator = DensePropagator(tree, dense_operator(tree, kernel))
             outside = _outside_mask(tree, ball)
             leakage = max(
                 _masked_norm(tree, propagator.schrodinger(v, t, config.hbar), outside)

@@ -11,11 +11,12 @@ per strict ancestor, weighted by the measure that ancestor adds around the
 ball.  On a finite tree the ancestor sum is finite, so no summability
 condition arises.
 
-Kernels and spectra are arrays: one float per internal ball, over the
-tree's internal balls in preorder, read by ball id through
-:class:`~.ball_tree.BallValues`.  ``spectrum`` fills the whole array in one
-root-down sweep, a level of the tree at a time, adding the same terms in
-the same order as the per-ball path sum of ``eigenvalue``, and
+Kernels and spectra are :class:`~.ball_tree.BallValues`: one float per
+internal ball, in an array over the tree's internal balls in preorder,
+bound to that tree.  Id-keyed kernel values enter only through
+``make_kernel`` (and ``load_kernel``).  ``spectrum`` fills the whole array
+in one root-down sweep, a level of the tree at a time, adding the same
+terms in the same order as the per-ball path sum of ``eigenvalue``, and
 ``Spectrum.for_basis`` is one gather by the basis plan's ball indices.
 
 ``dense_operator`` builds the full leaf-by-leaf matrix straight from the
@@ -41,30 +42,36 @@ from .ball_tree import BallTree, BallValues, _csv_fields, _write_csv, internal_v
 from .wavelet import WaveletBasis
 
 
+def _require_ball_values(owner: str, values) -> None:
+    if not isinstance(values, BallValues):
+        raise TypeError(
+            f"{owner} takes a BallValues (one value per internal ball, bound to its tree), "
+            f"got {type(values).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class SupKernel:
-    """Nonnegative kernel value per internal ball.
+    """Nonnegative kernel value per internal ball, as built by
+    :func:`make_kernel` or a preset."""
 
-    ``values`` is a :class:`BallValues` (an array over the internal balls
-    in preorder) when built by :func:`make_kernel` or a preset.
-    """
+    values: BallValues
 
-    values: Mapping[str, float]
-
-    def __getitem__(self, ball_id: str) -> float:
-        return self.values[ball_id]
+    def __post_init__(self):
+        _require_ball_values("SupKernel", self.values)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue per internal ball; the constant element has eigenvalue 0.
+    """Eigenvalue per internal ball, as computed by :func:`spectrum`.
 
-    ``eigenvalues`` is a :class:`BallValues` when computed by
-    :func:`spectrum`; any mapping from ball id is accepted.
+    The constant element has eigenvalue 0: the operator annihilates constants.
     """
 
-    eigenvalues: Mapping[str, float]
-    constant_eigenvalue: float = 0.0
+    eigenvalues: BallValues
+
+    def __post_init__(self):
+        _require_ball_values("Spectrum", self.eigenvalues)
 
     def for_tree(self, tree: BallTree) -> np.ndarray:
         """Eigenvalue per internal ball of ``tree``, in preorder."""
@@ -72,7 +79,7 @@ class Spectrum:
 
     def for_basis(self, basis: WaveletBasis) -> np.ndarray:
         """Eigenvalue per basis element, in basis order (constant last)."""
-        return np.append(self.for_tree(basis.tree)[basis.plan.ball], self.constant_eigenvalue)
+        return np.append(self.for_tree(basis.tree)[basis.plan.ball], 0.0)
 
 
 def _checked_kernel(tree: BallTree, values: np.ndarray) -> SupKernel:
@@ -177,11 +184,12 @@ def eigenvalue(tree: BallTree, kernel: SupKernel, ball_id: str) -> float:
     while path[-1]:
         path.append(int(tree.parent[path[-1]]))
     path.reverse()
-    nu = tree.measure.tolist()
+    t = internal_values(kernel.values, tree)[tree.internal_rank[path]].tolist()
+    nu = tree.measure[path].tolist()
     lam = 0.0
-    for outer, inner in zip(path, path[1:]):
-        lam += kernel[tree.ids_of(outer)] * (nu[outer] - nu[inner])
-    lam += kernel[ball_id] * nu[ball]
+    for k in range(len(path) - 1):
+        lam += t[k] * (nu[k] - nu[k + 1])
+    lam += t[-1] * nu[-1]
     return lam
 
 
@@ -326,7 +334,7 @@ def verify_spectrum(
     numeric = np.sort(np.linalg.eigvalsh(sym))
     arity = tree.child_count[tree.internal_balls]
     analytic = np.sort(
-        np.append(np.repeat(spec.for_tree(tree), arity - 1), spec.constant_eigenvalue)
+        np.append(np.repeat(spec.for_tree(tree), arity - 1), 0.0)
     )
     if analytic.shape != numeric.shape:
         raise ValueError(

@@ -30,16 +30,15 @@ per use); they exist for the transform cross-check and tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ball_tree import BallTree, _csv_fields, _write_csv, running_sums
+from .ball_tree import BallTree, running_sums
 
-#: Index label used for the constant basis element in coefficient CSVs.
+#: Index label of the constant basis element in ``WaveletBasis.labels``.
 CONSTANT_LABEL = "const"
 
 
@@ -385,33 +384,3 @@ def build_basis(tree: BallTree) -> WaveletBasis:
 def mean(tree: BallTree, values) -> complex:
     """Measure-weighted integral of a leaf function."""
     return complex(tree.as_leaf_values(values) @ tree.leaf_measures)
-
-
-def write_coefficients(path, basis: WaveletBasis, coefficients) -> None:
-    """Export coefficients as CSV columns ball_id, index, re, im."""
-    c = np.asarray(coefficients, dtype=complex)
-    if c.shape != (basis.size,):
-        raise ValueError(f"expected {basis.size} coefficients, got shape {c.shape}")
-    ball_ids, indices = zip(*basis.labels)
-    lines = (
-        f"{ball_id},{index},{z.real!r},{z.imag!r}"
-        for ball_id, index, z in zip(_csv_fields(ball_ids), _csv_fields(indices), c.tolist())
-    )
-    _write_csv(path, ["ball_id", "index", "re", "im"], lines)
-
-
-def read_coefficients(path, basis: WaveletBasis) -> np.ndarray:
-    """Read a coefficient CSV back into basis order."""
-    by_label: dict[tuple[str, int | str], complex] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            index: int | str = row["index"]
-            if index != CONSTANT_LABEL:
-                index = int(index)
-            by_label[(row["ball_id"], index)] = complex(
-                float(row["re"]), float(row["im"])
-            )
-    missing = [label for label in basis.labels if label not in by_label]
-    if missing:
-        raise ValueError(f"coefficient file is missing basis elements: {missing[:5]!r}")
-    return np.array([by_label[label] for label in basis.labels])

@@ -10,6 +10,12 @@ from ultrawave.ball_tree import BallSpec, TreeSpec
 from ultrawave.certify import random_tree
 
 
+def _children(tree, ball):
+    """Preorder numbers of the children of ball number ``ball``."""
+    first = tree.first_child[ball]
+    return tree.kids[first : first + tree.child_count[ball]]
+
+
 def _spec(entries, leaf_measures=None):
     return TreeSpec(
         balls=tuple(BallSpec(*entry) for entry in entries),
@@ -37,8 +43,8 @@ def test_uniform_binary_additivity():
         )
     )
     assert tree.total_measure == 1.0
-    assert tree.ball("r0").measure == 0.5
-    assert tree.ball("r1").measure == 0.5
+    assert tree.measure[tree.index("r0")] == 0.5
+    assert tree.measure[tree.index("r1")] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -51,14 +57,14 @@ def test_padic_preset(p, depth, total, n_leaves, leaf_measure):
     np.testing.assert_allclose(tree.leaf_measures, leaf_measure, rtol=1e-15)
     # total recovered by summation
     assert abs(tree.leaf_measures.sum() - total) <= 1e-12 * total
-    assert tree.ball(tree.root).diameter == 1.0
-    leaf = tree.ball(tree.leaves[0])
-    assert leaf.diameter == pytest.approx(float(p) ** -depth, rel=1e-15)
+    assert tree.diameter[tree.index(tree.root)] == 1.0
+    leaf = tree.index(tree.leaves[0])
+    assert tree.diameter[leaf] == pytest.approx(float(p) ** -depth, rel=1e-15)
 
 
 def test_padic_preset_p3_depth1():
     tree = uw.build_tree(uw.padic_preset(3, 1, 1.0))
-    assert len(tree.ball("r").children) == 3
+    assert tree.child_count[tree.index("r")] == 3
     np.testing.assert_allclose(tree.leaf_measures, 1.0 / 3.0, rtol=1e-15)
     assert abs(tree.total_measure - 1.0) <= 1e-12
 
@@ -85,10 +91,9 @@ def test_declared_internal_measure_inconsistent():
 
 def test_declared_measures_consistent_are_accepted():
     tree = uw.build_tree(uw.padic_preset(3, 2, 1.0))  # preset declares all measures
-    for ball_id in tree.internal:
-        ball = tree.ball(ball_id)
-        child_sum = sum(tree.ball(c).measure for c in ball.children)
-        assert ball.measure == child_sum  # recomputed exactly
+    for ball in tree.internal_balls:
+        child_sum = sum(tree.measure[_children(tree, ball)].tolist())
+        assert tree.measure[ball] == child_sum  # recomputed exactly
 
 
 @pytest.mark.parametrize(
@@ -287,21 +292,19 @@ def test_leaf_metric_is_ultrametric(seed):
         assert dac <= max(dab, dbc) + 1e-15
         # equivalent depth form of the strong triangle inequality
         if a != b and b != c and a != c:
-            assert tree.depth_of(tree.sup(a, c)) >= min(
-                tree.depth_of(tree.sup(a, b)), tree.depth_of(tree.sup(b, c))
-            )
+            ac, ab, bc = (tree.depths[tree.index(tree.sup(x, y))] for x, y in ((a, c), (a, b), (b, c)))
+            assert ac >= min(ab, bc)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_measure_additivity_on_random_trees(seed):
     tree = random_tree(np.random.default_rng(seed), min_leaves=2, max_leaves=60)
-    for ball_id in tree.internal:
-        ball = tree.ball(ball_id)
+    for ball in tree.internal_balls:
         child_sum = 0.0
-        for child in ball.children:
-            child_sum += tree.ball(child).measure
-        assert abs(ball.measure - child_sum) <= 1e-12 * ball.measure
+        for child in _children(tree, ball):
+            child_sum += tree.measure[child]
+        assert abs(tree.measure[ball] - child_sum) <= 1e-12 * tree.measure[ball]
 
 
 # -- degenerate single-ball space ----------------------------------------------
@@ -322,7 +325,5 @@ def test_tree_is_immutable():
     tree = uw.build_tree(uw.padic_preset(2, 1, 1.0))
     with pytest.raises(ValueError):
         tree.leaf_measures[0] = 7.0
-    import dataclasses
-
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tree.ball("r").measure = 2.0
+    with pytest.raises(ValueError):
+        tree.measure[0] = 2.0

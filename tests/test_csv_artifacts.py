@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 import ultrawave as uw
-from ultrawave.ball_tree import BallSpec, TreeSpec
+from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec
 from ultrawave.evolution import write_summary, write_trajectory
 from ultrawave.pdo import Spectrum, write_spectrum
-from ultrawave.wavelet import write_coefficients
 
 
 def _reference_trajectory(path, tree, times, states):
@@ -67,17 +66,12 @@ def _reference_spectrum(path, tree, spec):
         writer.writerow(["ball_id", "p_I", "lambda"])
         for ball_id in tree.internal:
             writer.writerow(
-                [ball_id, len(tree.ball(ball_id).children), repr(float(spec.eigenvalues[ball_id]))]
+                [
+                    ball_id,
+                    tree.child_count[tree.index(ball_id)],
+                    repr(float(spec.eigenvalues[ball_id])),
+                ]
             )
-
-
-def _reference_coefficients(path, basis, coefficients):
-    c = np.asarray(coefficients, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ball_id", "index", "re", "im"])
-        for (ball_id, index), value in zip(basis.labels, c):
-            writer.writerow([ball_id, index, repr(float(value.real)), repr(float(value.imag))])
 
 
 #: Ids that csv quotes (comma, quote, CR, LF) or must leave alone (leading
@@ -176,19 +170,13 @@ def test_summary_bytes_match_csv_writer(odd_tree, tmp_path):
 def test_spectrum_bytes_match_csv_writer(odd_tree, tmp_path):
     values = SPECIAL + [1e200, math.inf, math.nan]
     for shift in range(len(values)):
-        eigenvalues = {
-            ball: values[(shift + k) % len(values)] for k, ball in enumerate(odd_tree.internal)
-        }
+        eigenvalues = [values[(shift + k) % len(values)] for k in range(len(odd_tree.internal))]
         _assert_same_bytes(
-            write_spectrum, _reference_spectrum, tmp_path, odd_tree, Spectrum(eigenvalues)
-        )
-
-
-def test_coefficient_bytes_match_csv_writer(odd_tree, tmp_path):
-    basis = uw.build_basis(odd_tree)
-    for coefficients in _states(basis.size):
-        _assert_same_bytes(
-            write_coefficients, _reference_coefficients, tmp_path, basis, coefficients
+            write_spectrum,
+            _reference_spectrum,
+            tmp_path,
+            odd_tree,
+            Spectrum(BallValues(odd_tree, eigenvalues)),
         )
 
 
@@ -196,11 +184,9 @@ def test_writers_match_csv_writer_across_writes(tmp_path):
     """Files of one, two and several writes of 256 lines each."""
     rng = np.random.default_rng(9)
     tree = uw.build_tree(uw.padic_preset(2, 9))  # 512 leaves, 511 internal balls
-    basis = uw.build_basis(tree)
     spec = uw.spectrum(tree, uw.vladimirov_kernel(tree, 0.5))
     values = rng.normal(size=(3, 512)) + 1j * rng.normal(size=(3, 512))
     _assert_same_bytes(write_spectrum, _reference_spectrum, tmp_path, tree, spec)
-    _assert_same_bytes(write_coefficients, _reference_coefficients, tmp_path, basis, values[0])
     for count in (0, 1, 3):
         times, states = [0.5, -1.0, 2.0][:count], list(values[:count])
         _assert_same_bytes(write_trajectory, _reference_trajectory, tmp_path, tree, times, states)

@@ -15,7 +15,6 @@ from ultrawave.evolution import (
     bessel_j,
     chebyshev_evolve_with_potential,
     chebyshev_expm,
-    free_propagator,
     real_matvec,
 )
 
@@ -55,9 +54,9 @@ def test_phase_period_returns_initial_state(binary_tree, binary_kernel):
     (state,) = uw.evolve_schrodinger(packet, uw.EvolutionConfig(times=(period,)))
     assert np.max(np.abs(state.coefficients - packet.coefficients)) <= 1e-10
     # dense-propagator cross-check at the same time
-    dense_state = free_propagator(binary_tree, binary_kernel).schrodinger(
-        basis.wavelets[1].vector, period
-    )
+    dense_state = uw.DensePropagator(
+        binary_tree, uw.dense_operator(binary_tree, binary_kernel)
+    ).schrodinger(basis.wavelets[1].vector, period)
     assert binary_tree.norm(dense_state - basis.wavelets[1].vector) <= 1e-10
 
 
@@ -574,7 +573,7 @@ def test_two_leaf_difference_stays_in_level_one_ball(binary_tree, binary_kernel)
     assert report.passed
     assert report.support_ball == "r.0"
     # dense propagator agrees that nothing leaks
-    propagator = free_propagator(binary_tree, binary_kernel)
+    propagator = uw.DensePropagator(binary_tree, uw.dense_operator(binary_tree, binary_kernel))
     for t in (0.5, 2.0, 7.7):
         state = propagator.schrodinger(values, t)
         assert np.max(np.abs(state[2:])) <= 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ultrawave as uw
-from ultrawave.ball_tree import BallSpec, TreeSpec
+from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec
 from ultrawave.certify import (
     corrupt_basis_sign,
     corrupt_spectrum,
@@ -27,7 +27,7 @@ def test_binary_fixture_eigenvalues_by_hand(binary_tree, binary_kernel):
     assert uw.eigenvalue(binary_tree, binary_kernel, "r") == 1.0
     spec = uw.spectrum(binary_tree, binary_kernel)
     assert spec.eigenvalues == {"r": 1.0, "r.0": 1.5, "r.1": 1.5}
-    assert spec.constant_eigenvalue == 0.0
+    assert spec.for_basis(uw.build_basis(binary_tree))[-1] == 0.0
 
 
 def test_binary_fixture_multiset_against_dense_oracle(binary_tree, binary_kernel):
@@ -55,8 +55,8 @@ def test_zero_kernel_spectrum(binary_tree):
 
 def test_vladimirov_values(binary_tree):
     kernel = uw.vladimirov_kernel(binary_tree, alpha=1.0)
-    assert kernel["r"] == 1.0  # diameter 1
-    assert kernel["r.0"] == 4.0  # diameter 1/2, power -2
+    assert kernel.values["r"] == 1.0  # diameter 1
+    assert kernel.values["r.0"] == 4.0  # diameter 1/2, power -2
 
 
 def test_vladimirov_padic_spectrum_certified():
@@ -134,7 +134,7 @@ def test_rank_counts_zero_kernel_multiplicities():
     spec = uw.spectrum(tree, kernel)
     # root eigenvalue is 0 with multiplicity p-1 = 1, plus the constant
     zero_mult = 1 + sum(
-        len(tree.ball(b).children) - 1
+        tree.child_count[tree.index(b)] - 1
         for b, lam in spec.eigenvalues.items()
         if lam == 0.0
     )
@@ -177,12 +177,34 @@ def test_verify_spectrum_zero_kernel_residuals_vanish(binary_tree):
 def test_verify_spectrum_detects_corruption(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
     spec = uw.spectrum(binary_tree, binary_kernel)
-    bad = uw.Spectrum(
-        eigenvalues={k: v + 1.0 for k, v in spec.eigenvalues.items()},
-        constant_eigenvalue=0.0,
-    )
+    bad = uw.Spectrum(eigenvalues=BallValues(binary_tree, spec.eigenvalues.array + 1.0))
     report = uw.verify_spectrum(binary_tree, binary_kernel, basis, bad)
     assert not report.passed
+
+
+@pytest.mark.parametrize("make", [uw.SupKernel, uw.Spectrum])
+def test_kernel_and_spectrum_take_only_ball_values(make):
+    with pytest.raises(TypeError, match=f"{make.__name__} takes a BallValues.*got dict"):
+        make({"r": 1.0, "r.0": 1.5, "r.1": 1.5})
+
+
+def test_values_bound_to_another_tree_are_rejected(binary_tree, binary_kernel, lopsided_tree):
+    spec = uw.spectrum(binary_tree, binary_kernel)
+    message = r"bound to another tree: internal ball 0 in preorder is 'r' there and 'root' here"
+    with pytest.raises(ValueError, match=message):
+        uw.spectrum(lopsided_tree, binary_kernel)
+    with pytest.raises(ValueError, match=message):
+        uw.dense_operator(lopsided_tree, binary_kernel)
+    with pytest.raises(ValueError, match=message):
+        uw.eigenvalue(lopsided_tree, binary_kernel, "root")
+    with pytest.raises(ValueError, match=message):
+        spec.for_tree(lopsided_tree)
+    deeper = uw.build_tree(uw.padic_preset(2, 3))
+    with pytest.raises(ValueError, match=r"internal ball 2 in preorder is 'r.1' there and 'r.0.0' here"):
+        uw.verify_spectrum(deeper, uw.vladimirov_kernel(deeper, 1.0), uw.build_basis(deeper), spec)
+    # a tree rebuilt from the same specification reads the same values
+    rebuilt = uw.build_tree(uw.padic_preset(2, 2, 1.0))
+    assert spec.for_tree(rebuilt) is spec.eigenvalues.array
 
 
 @pytest.mark.parametrize(
@@ -214,12 +236,12 @@ def test_kernel_file_forms(tmp_path, binary_tree):
     mapping = tmp_path / "kernel.json"
     mapping.write_text(json.dumps({"r": 1.0, "r.0": 2.0, "r.1": 2.0}))
     kernel = uw.load_kernel(mapping, binary_tree)
-    assert kernel["r.0"] == 2.0
+    assert kernel.values["r.0"] == 2.0
 
     preset = tmp_path / "preset.json"
     preset.write_text(json.dumps({"preset": "vladimirov", "alpha": 1.0}))
     kernel = uw.load_kernel(preset, binary_tree)
-    assert kernel["r.0"] == 4.0
+    assert kernel.values["r.0"] == 4.0
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"preset": "mystery", "alpha": 1.0}))
@@ -258,9 +280,9 @@ def _reference_verification(tree, kernel, basis, spec):
     and products with the dense basis."""
     matrix = uw.dense_operator(tree, kernel)
     numeric = np.sort(np.linalg.eigvalsh(symmetrized(tree, matrix)))
-    analytic = [spec.constant_eigenvalue]
+    analytic = [0.0]
     for ball_id in tree.internal:
-        arity = len(tree.ball(ball_id).children)
+        arity = tree.child_count[tree.index(ball_id)]
         analytic.extend([spec.eigenvalues[ball_id]] * (arity - 1))
     multiset = float(np.max(np.abs(numeric - np.sort(analytic))))
     operator_norm = float(np.max(np.abs(numeric)))

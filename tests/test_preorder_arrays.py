@@ -212,9 +212,11 @@ def test_arrays_match_the_per_ball_reference_bitwise(shape):
     assert _same_bits(tree.leaf_start, [ref["span"][b][0] for b in ref["order"]])
     assert _same_bits(tree.leaf_stop, [ref["span"][b][1] for b in ref["order"]])
     for b in (ref["root"], ref["order"][-1], ref["internal"][-1]):
-        ball = tree.ball(b)
-        assert ball.children == tuple(ref["children"][b])
-        assert ball.measure == ref["measure"][b]
+        ball = tree.index(b)
+        first = tree.first_child[ball]
+        children = tree.kids[first : first + tree.child_count[ball]]
+        assert tuple(tree.ids_of(children).tolist()) == tuple(ref["children"][b])
+        assert tree.measure[ball] == ref["measure"][b]
 
     kernel = uw.vladimirov_kernel(tree, 0.7)
     ref_kernel = _reference_kernel(ref, 0.7)
@@ -249,6 +251,16 @@ def test_random_kernel_spectrum_matches_reference_and_eigenvalue():
         assert uw.eigenvalue(tree, kernel, b) == want[b]
 
 
+@pytest.mark.parametrize("shape", ["caterpillar", "random-0", "random-1", "random-2"])
+def test_eigenvalue_equals_spectrum_bitwise(shape):
+    """The per-ball path sum and the per-level sweep add the same terms in order."""
+    tree = uw.build_tree(SHAPES[shape]())
+    for kernel in (uw.vladimirov_kernel(tree, 0.7), random_kernel(np.random.default_rng(8), tree)):
+        lam = uw.spectrum(tree, kernel).eigenvalues.array
+        path_sums = [uw.eigenvalue(tree, kernel, b) for b in tree.internal]
+        assert _same_bits(lam, path_sums)
+
+
 def test_json_columns_read_as_ball_specs(tmp_path):
     spec = uw.tree_spec_from_dict(
         {"balls": [{"id": "r", "parent": None, "diameter": 1, "measure": 2.0},
@@ -280,7 +292,7 @@ def test_preset_with_leaf_measures_builds_as_ball_specs(leaf_measures, violation
         tree, want = uw.build_tree(preset), uw.build_tree(listed)
         assert tree.order == want.order
         assert _same_bits(tree.measure, want.measure)
-        assert tree.ball("r.0.1").measure == 0.25
+        assert tree.measure[tree.index("r.0.1")] == 0.25
     else:
         for spec in (preset, listed):
             with pytest.raises(uw.InvalidTreeError) as err:

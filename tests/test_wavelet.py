@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import ultrawave as uw
 from ultrawave.ball_tree import BallSpec, TreeSpec
 from ultrawave.certify import random_tree, random_tree_spec
-from ultrawave.wavelet import read_coefficients, write_coefficients
 
 
 def _two_leaf_tree(m1, m2):
@@ -89,7 +88,7 @@ def test_constant_element_value(binary_tree):
 def test_count_identity_exact(seed):
     tree = random_tree(np.random.default_rng(seed), min_leaves=2, max_leaves=80)
     basis = uw.build_basis(tree)
-    per_ball = sum(len(tree.ball(b).children) - 1 for b in tree.internal)
+    per_ball = sum(tree.child_count[tree.index(b)] - 1 for b in tree.internal)
     assert len(basis.wavelets) == per_ball == tree.n_leaves - 1
     assert basis.size == tree.n_leaves
 
@@ -149,6 +148,19 @@ def test_mean_examples(binary_tree):
     assert uw.mean(binary_tree, indicator) == pytest.approx(0.25, abs=1e-16)
 
 
+def _contains(tree, outer, inner):
+    """True when ball ``inner`` lies inside ball ``outer`` (or equals it)."""
+    a, b = tree.leaf_slice(outer), tree.leaf_slice(inner)
+    return a.start <= b.start and b.stop <= a.stop
+
+
+def _children(tree, ball_id):
+    """The ids of a ball's children, in child order."""
+    b = tree.index(ball_id)
+    first = tree.first_child[b]
+    return tuple(tree.ids_of(tree.kids[first : first + tree.child_count[b]]).tolist())
+
+
 def test_wavelet_orthogonal_to_outer_indicators():
     rng = np.random.default_rng(11)
     tree = random_tree(rng, min_leaves=8, max_leaves=40, min_depth=2)
@@ -156,8 +168,8 @@ def test_wavelet_orthogonal_to_outer_indicators():
     for wavelet in basis.wavelets:
         scale = max(abs(wavelet.vector))
         for ball_id in tree.order:
-            inside = tree.contains_ball(wavelet.ball, ball_id)
-            covers = tree.contains_ball(ball_id, wavelet.ball)
+            inside = _contains(tree, wavelet.ball, ball_id)
+            covers = _contains(tree, ball_id, wavelet.ball)
             disjoint = not inside and not covers
             if covers or disjoint:
                 indicator = np.zeros(tree.n_leaves)
@@ -170,7 +182,7 @@ def test_wavelets_constant_on_children():
     tree = random_tree(np.random.default_rng(5), min_leaves=10, max_leaves=60)
     basis = uw.build_basis(tree)
     for wavelet in basis.wavelets:
-        for child in tree.ball(wavelet.ball).children:
+        for child in _children(tree, wavelet.ball):
             block = wavelet.vector[tree.leaf_slice(child)]
             assert np.ptp(block) == 0.0  # exactly constant
 
@@ -182,16 +194,6 @@ def test_build_is_deterministic():
     t2 = random_tree(rng2, min_leaves=30, max_leaves=30)
     b1, b2 = uw.build_basis(t1), uw.build_basis(t2)
     np.testing.assert_array_equal(b1.matrix, b2.matrix)
-
-
-def test_coefficient_csv_round_trip(tmp_path, binary_tree):
-    basis = uw.build_basis(binary_tree)
-    rng = np.random.default_rng(0)
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    path = tmp_path / "coeffs.csv"
-    write_coefficients(path, basis, coeffs)
-    back = read_coefficients(path, basis)
-    np.testing.assert_array_equal(back, coeffs)  # repr round-trips exactly
 
 
 def test_length_mismatches_raise(binary_tree):
@@ -229,10 +231,10 @@ def _reference_matrix(tree):
     """Basis rows built child by child with the plain Helmert formula."""
     rows = []
     for ball_id in tree.internal:
-        children = tree.ball(ball_id).children
-        head = tree.ball(children[0]).measure
+        children = _children(tree, ball_id)
+        head = float(tree.measure[tree.index(children[0])])
         for j in range(1, len(children)):
-            tail = tree.ball(children[j]).measure
+            tail = float(tree.measure[tree.index(children[j])])
             total = head + tail
             row = np.zeros(tree.n_leaves)
             for child in children[:j]:
