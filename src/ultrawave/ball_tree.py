@@ -467,7 +467,14 @@ def padic_preset(p: int, depth: int, total_measure: float = 1.0) -> TreeSpec:
 
 
 def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
-    """Parse the JSON document form of a tree specification."""
+    """Parse the JSON document form of a tree specification.
+
+    A document of the wrong shape raises :class:`InvalidTreeError` naming
+    what is wrong: the document, the preset, a ball or ``leaf_measures`` is
+    not an object, or a required number is missing or is not a number.
+    """
+    if not isinstance(doc, Mapping):
+        raise InvalidTreeError([f"specification must be an object, got {type(doc).__name__}"])
     has_balls = bool(doc.get("balls"))
     has_preset = doc.get("preset") is not None
     if has_balls == has_preset:
@@ -476,27 +483,88 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
         )
     if has_preset:
         preset = doc["preset"]
+        if not isinstance(preset, Mapping):
+            raise InvalidTreeError([f"'preset' must be an object, got {type(preset).__name__}"])
         if preset.get("type") != "padic":
             raise InvalidTreeError([f"unknown preset type: {preset.get('type')!r}"])
         return padic_preset(
-            int(preset["p"]), int(preset["depth"]), float(preset.get("total_measure", 1.0))
+            _preset_number(preset, "p", int),
+            _preset_number(preset, "depth", int),
+            _preset_number(preset, "total_measure", float, 1.0),
         )
     entries = doc["balls"]
-    parents = list(map(operator.methodcaller("get", "parent"), entries))
-    if not set(map(type, parents)) <= {str, type(None)}:
-        parents = [None if parent is None else str(parent) for parent in parents]
-    measure, declared = _optional_floats(list(map(operator.methodcaller("get", "measure"), entries)))
-    balls = BallColumns(
-        list(map(str, map(operator.itemgetter("id"), entries))),
-        parents,
-        np.array(list(map(float, map(operator.itemgetter("diameter"), entries))), dtype=float),
-        measure,
-        declared,
-    )
+    try:
+        parents = list(map(operator.methodcaller("get", "parent"), entries))
+        if not set(map(type, parents)) <= {str, type(None)}:
+            parents = [None if parent is None else str(parent) for parent in parents]
+        measure, declared = _optional_floats(
+            list(map(operator.methodcaller("get", "measure"), entries))
+        )
+        balls = BallColumns(
+            list(map(str, map(operator.itemgetter("id"), entries))),
+            parents,
+            np.array(list(map(float, map(operator.itemgetter("diameter"), entries))), dtype=float),
+            measure,
+            declared,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        problems = _ball_entry_problems(entries)
+        if problems:
+            raise InvalidTreeError(problems) from None
+        raise
     leaf_measures = doc.get("leaf_measures")
     if leaf_measures is not None:
-        leaf_measures = dict(zip(map(str, leaf_measures), map(float, leaf_measures.values())))
+        if not isinstance(leaf_measures, Mapping):
+            raise InvalidTreeError(
+                [f"'leaf_measures' must be an object, got {type(leaf_measures).__name__}"]
+            )
+        try:
+            leaf_measures = dict(zip(map(str, leaf_measures), map(float, leaf_measures.values())))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidTreeError(
+                [
+                    f"leaf_measures gives leaf {leaf!r} a measure that is not a number: {value!r}"
+                    for leaf, value in leaf_measures.items()
+                    if not _is_number(value)
+                ]
+            ) from None
     return TreeSpec(balls=balls, leaf_measures=leaf_measures)
+
+
+def _ball_entry_problems(entries) -> list[str]:
+    """What keeps the ``balls`` of a JSON specification from being read."""
+    if not isinstance(entries, list):
+        return [f"'balls' must be a list of objects, got {type(entries).__name__}"]
+    problems = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            problems.append(f"balls entry {k} is not an object: {entry!r}")
+            continue
+        name = f"ball {entry['id']!r}" if "id" in entry else f"balls entry {k}"
+        if "id" not in entry:
+            problems.append(f"{name} has no 'id'")
+        if entry.get("diameter") is None:
+            problems.append(f"{name} has no 'diameter'")
+        for key in ("diameter", "measure"):
+            if entry.get(key) is not None and not _is_number(entry[key]):
+                problems.append(f"{name} has a {key} that is not a number: {entry[key]!r}")
+    return problems
+
+
+def _preset_number(preset: Mapping, key: str, convert, default=None):
+    value = preset.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidTreeError([f"padic preset needs a number {key!r}, got {value!r}"]) from None
+
+
+def _is_number(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
 
 
 def load_tree_spec(path) -> TreeSpec:

@@ -412,24 +412,25 @@ class CertificationReport:
 def run_certification(
     seed: int = 42,
     instances: int = 100,
-    tree_spec: TreeSpec | None = None,
+    tree: BallTree | None = None,
     kernel: SupKernel | None = None,
     inject: str | None = None,
     max_leaves: int = 200,
 ) -> CertificationReport:
     """Run every property suite over a seeded instance stream.
 
-    A fixed ``tree_spec`` (and optionally a fixed ``kernel``) replaces the
-    random tree in every instance; kernels still vary unless pinned.
+    A fixed ``tree`` (and optionally a fixed ``kernel``, built for that
+    tree) replaces the random tree in every instance; kernels still vary
+    unless pinned.
     ``inject`` applies a deliberate corruption so the run must fail.
     """
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
     if inject is not None and inject not in INJECTIONS:
         raise ValueError(f"unknown injection {inject!r}; options: {INJECTIONS}")
-    if kernel is not None and tree_spec is None:
+    if kernel is not None and tree is None:
         raise ValueError("a fixed kernel requires a fixed tree")
-    fixed_tree = build_tree(tree_spec) if tree_spec is not None else None
+    fixed_tree = tree
 
     aggregates: dict[str, CheckAggregate] = {}
     for index in range(instances):

@@ -147,17 +147,17 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tree_spec = load_tree_spec(args.tree) if args.tree else None
+    tree = build_tree(load_tree_spec(args.tree)) if args.tree else None
     kernel: SupKernel | None = None
     if args.kernel:
-        if tree_spec is None:
+        if tree is None:
             print("error: --kernel requires --tree", file=sys.stderr)
             return 2
-        kernel = load_kernel(args.kernel, build_tree(tree_spec))
+        kernel = load_kernel(args.kernel, tree)
     report = run_certification(
         seed=args.seed,
         instances=args.instances,
-        tree_spec=tree_spec,
+        tree=tree,
         kernel=kernel,
         inject=args.inject,
     )

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ball_tree import BallTree, BallValues, _csv_fields, _write_csv, internal_values
+from .ball_tree import BallTree, BallValues, _csv_fields, _is_number, _write_csv, internal_values
 from .wavelet import WaveletBasis
 
 
@@ -97,10 +97,14 @@ def make_kernel(tree: BallTree, values: Mapping[str, float]) -> SupKernel:
     """Validate a kernel: nonnegative and covering every internal ball.
 
     The first offending entry, in the mapping's order, is named: an unknown
-    ball, a leaf, or a negative or non-finite value.
+    ball, a leaf, or a value that is not a number, negative or non-finite.
     """
     names = list(values)
-    given = np.array([float(v) for v in values.values()], dtype=float)
+    try:
+        given = np.array([float(v) for v in values.values()], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        name, value = next((k, v) for k, v in values.items() if not _is_number(v))
+        raise ValueError(f"kernel value for ball {name!r} is not a number: {value!r}") from None
     balls = tree.positions(names)
     leaf = tree.child_count[balls] == 0
     bad = ~(np.isfinite(given) & (given >= 0))
@@ -166,6 +170,11 @@ def load_kernel(path, tree: BallTree) -> SupKernel:
     if "preset" in doc:
         if doc["preset"] != "vladimirov":
             raise ValueError(f"unknown kernel preset: {doc['preset']!r}")
+        if not _is_number(doc.get("alpha")):
+            raise ValueError(
+                f"kernel file {path}: the vladimirov preset needs a number 'alpha', "
+                f"got {doc.get('alpha')!r}"
+            )
         return vladimirov_kernel(tree, float(doc["alpha"]))
     return make_kernel(tree, doc)
 
@@ -381,9 +390,22 @@ def write_spectrum(path, tree: BallTree, spec: Spectrum) -> None:
 
 
 def read_spectrum(path) -> dict[str, float]:
-    """Read a spectrum CSV back as a ball id to eigenvalue mapping."""
+    """Read a spectrum CSV back as a ball id to eigenvalue mapping.
+
+    The file needs ``ball_id`` and ``lambda`` columns, every row a value in
+    both, and lists each ball once; ``ValueError`` names the file otherwise.
+    """
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            values[row["ball_id"]] = float(row["lambda"])
+        rows = csv.DictReader(fh)
+        for column in ("ball_id", "lambda"):
+            if column not in (rows.fieldnames or ()):
+                raise ValueError(f"{path} has no {column!r} column")
+        for row in rows:
+            ball_id, lam = row["ball_id"], row["lambda"]
+            if ball_id is None or lam is None:
+                raise ValueError(f"{path} has a short row on line {rows.line_num}")
+            if ball_id in values:
+                raise ValueError(f"{path} lists ball {ball_id!r} more than once")
+            values[ball_id] = float(lam)
     return values

@@ -88,6 +88,45 @@ def test_validate_missing_file_is_usage_error(tmp_path):
     assert main(["validate", "--tree", str(tmp_path / "absent.json")]) == 2
 
 
+_LEAVES = [
+    {"id": "a", "parent": "r", "diameter": 0.5, "measure": 1.0},
+    {"id": "b", "parent": "r", "diameter": 0.5, "measure": 1.0},
+]
+
+
+@pytest.mark.parametrize(
+    "doc, violation",
+    [
+        ([{"id": "r", "parent": None, "diameter": 1.0}], "specification must be an object, got list"),
+        ({"preset": {"type": "padic", "depth": 2}}, "padic preset needs a number 'p', got None"),
+        (
+            {"balls": [{"id": "r", "parent": None}, *_LEAVES]},
+            "ball 'r' has no 'diameter'",
+        ),
+        (
+            {"balls": [{"id": "r", "parent": None, "diameter": 1.0}, "a", *_LEAVES]},
+            "balls entry 1 is not an object: 'a'",
+        ),
+        (
+            {"balls": [{"id": "r", "parent": None, "diameter": 1.0}, *_LEAVES],
+             "leaf_measures": [1.0, 1.0]},
+            "'leaf_measures' must be an object, got list",
+        ),
+    ],
+    ids=["array", "preset-without-p", "ball-without-diameter", "entry-not-object",
+         "leaf-measures-list"],
+)
+def test_malformed_tree_spec_is_a_named_violation(tmp_path, capsys, doc, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--tree", str(path)]) == 1
+    assert f"violation: {violation}" in capsys.readouterr().out
+    rc = main(["spectrum", "--tree", str(path), "--alpha", "0.5", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"violation: {violation}" in err and "Traceback" not in err
+
+
 # -- spectrum -------------------------------------------------------------------
 
 
@@ -148,6 +187,50 @@ def test_spectrum_expected_match_and_tamper(tree_file, kernel_file, tmp_path, ca
     )
     assert rc == 1
     assert "mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        ({"preset": "vladimirov"}, "the vladimirov preset needs a number 'alpha', got None"),
+        ({"r": 1.0, "r.0": None, "r.1": 2.0}, "kernel value for ball 'r.0' is not a number: None"),
+    ],
+    ids=["preset-without-alpha", "null-value"],
+)
+def test_malformed_kernel_file_is_a_usage_error(tree_file, tmp_path, capsys, kernel, message):
+    path = tmp_path / "bad-kernel.json"
+    path.write_text(json.dumps(kernel))
+    rc = main(["spectrum", "--tree", str(tree_file), "--kernel", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ball_id,p_I\r\nr,2\r\nr.0,2\r\nr.1,2\r\n", "has no 'lambda' column"),
+        ("id,p_I,lambda\r\nr,2,1.0\r\nr.0,2,1.5\r\nr.1,2,1.5\r\n", "has no 'ball_id' column"),
+        ("ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0,2\r\nr.1,2,1.5\r\n", "has a short row on line 3"),
+        (
+            "ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0,2,1.5\r\nr.1,2,1.5\r\nr.0,2,1.5\r\n",
+            "lists ball 'r.0' more than once",
+        ),
+    ],
+    ids=["no-lambda", "no-ball-id", "short-row", "repeated-ball"],
+)
+def test_malformed_expected_spectrum_is_a_usage_error(
+    tree_file, kernel_file, tmp_path, capsys, text, message
+):
+    expected = tmp_path / "expected.csv"
+    expected.write_text(text)
+    rc = main(
+        [
+            "spectrum", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--out", str(tmp_path / "out"), "--expected", str(expected),
+        ]
+    )
+    assert rc == 2
+    assert f"{expected} {message}" in capsys.readouterr().err
 
 
 def test_spectrum_nan_expected_values_are_a_mismatch(tree_file, kernel_file, tmp_path, capsys):
@@ -489,6 +572,27 @@ def test_certify_with_pinned_tree_and_kernel(tree_file, kernel_file):
         ]
     )
     assert rc == 0
+
+
+def test_certify_builds_a_pinned_tree_once_and_binds_the_kernel_to_it(
+    tree_file, kernel_file, monkeypatch
+):
+    built, bound = [], []
+    build, spectrum = uw.ball_tree.build_tree, uw.certify.spectrum
+
+    def counting_build(spec):
+        built.append(build(spec))
+        return built[-1]
+
+    def checking_spectrum(tree, kernel):
+        bound.append(kernel.values.tree is tree is built[0])
+        return spectrum(tree, kernel)
+
+    monkeypatch.setattr(uw.cli, "build_tree", counting_build)
+    monkeypatch.setattr(uw.certify, "spectrum", checking_spectrum)
+    argv = ["certify", "--tree", str(tree_file), "--kernel", str(kernel_file), "--instances", "2"]
+    assert main(argv) == 0
+    assert len(built) == 1 and bound == [True, True]
 
 
 def test_certify_kernel_without_tree_is_usage_error(kernel_file):
