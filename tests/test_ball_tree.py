@@ -292,7 +292,9 @@ def test_leaf_metric_is_ultrametric(seed):
         assert dac <= max(dab, dbc) + 1e-15
         # equivalent depth form of the strong triangle inequality
         if a != b and b != c and a != c:
-            ac, ab, bc = (tree.depths[tree.index(tree.sup(x, y))] for x, y in ((a, c), (a, b), (b, c)))
+            ac, ab, bc = (
+                tree.depths[tree.index(tree.sup(x, y))] for x, y in ((a, c), (a, b), (b, c))
+            )
             assert ac >= min(ab, bc)
 
 

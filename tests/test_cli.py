@@ -97,7 +97,10 @@ _LEAVES = [
 @pytest.mark.parametrize(
     "doc, violation",
     [
-        ([{"id": "r", "parent": None, "diameter": 1.0}], "specification must be an object, got list"),
+        (
+            [{"id": "r", "parent": None, "diameter": 1.0}],
+            "specification must be an object, got list",
+        ),
         ({"preset": {"type": "padic", "depth": 2}}, "padic preset needs a number 'p', got None"),
         (
             {"balls": [{"id": "r", "parent": None}, *_LEAVES]},

@@ -200,7 +200,8 @@ def test_values_bound_to_another_tree_are_rejected(binary_tree, binary_kernel, l
     with pytest.raises(ValueError, match=message):
         spec.for_tree(lopsided_tree)
     deeper = uw.build_tree(uw.padic_preset(2, 3))
-    with pytest.raises(ValueError, match=r"internal ball 2 in preorder is 'r.1' there and 'r.0.0' here"):
+    message = r"internal ball 2 in preorder is 'r.1' there and 'r.0.0' here"
+    with pytest.raises(ValueError, match=message):
         uw.verify_spectrum(deeper, uw.vladimirov_kernel(deeper, 1.0), uw.build_basis(deeper), spec)
     # a tree rebuilt from the same specification reads the same values
     rebuilt = uw.build_tree(uw.padic_preset(2, 2, 1.0))
