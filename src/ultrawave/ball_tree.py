@@ -38,20 +38,17 @@ tree.  Its array is read through :func:`internal_values`, which checks the
 tree; reading by id through its mapping view is for the boundary.
 
 Trees are immutable once built and safe to share across threads.
-
-The CSV helpers at the end serve every artifact writer in the package,
-which all import this module.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat, zip_longest
+from itertools import repeat, zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -441,8 +438,8 @@ def padic_preset(p: int, depth: int, total_measure: float = 1.0) -> TreeSpec:
         raise ValueError(f"p must be an integer >= 2, got {p}")
     if depth < 1:
         raise ValueError(f"depth must be an integer >= 1, got {depth}")
-    if not total_measure > 0:
-        raise ValueError(f"total_measure must be positive, got {total_measure}")
+    if not 0 < total_measure < math.inf:
+        raise ValueError(f"total_measure must be positive and finite, got {total_measure}")
     digits = np.array([f".{k}" for k in range(p)], dtype=object)
     ids, parents = [np.array(["r"], dtype=object)], [np.array([None], dtype=object)]
     diameters, measures = [np.ones(1)], [np.full(1, float(total_measure))]
@@ -471,7 +468,9 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
 
     A document of the wrong shape raises :class:`InvalidTreeError` naming
     what is wrong: the document, the preset, a ball or ``leaf_measures`` is
-    not an object, or a required number is missing or is not a number.
+    not an object, a required number is missing or is not a number, a
+    preset's ``p`` or ``depth`` is not an integer, or a preset number is out
+    of range.
     """
     if not isinstance(doc, Mapping):
         raise InvalidTreeError([f"specification must be an object, got {type(doc).__name__}"])
@@ -487,11 +486,19 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
             raise InvalidTreeError([f"'preset' must be an object, got {type(preset).__name__}"])
         if preset.get("type") != "padic":
             raise InvalidTreeError([f"unknown preset type: {preset.get('type')!r}"])
-        return padic_preset(
-            _preset_number(preset, "p", int),
-            _preset_number(preset, "depth", int),
-            _preset_number(preset, "total_measure", float, 1.0),
-        )
+        problems = []
+        for key in ("p", "depth"):
+            value = preset.get(key)
+            if type(value) is not int:  # neither true nor 2.0 is a JSON integer
+                kind = "an integer" if isinstance(value, float) else "a number"
+                problems.append(f"padic preset needs {kind} {key!r}, got {value!r}")
+        if problems:
+            raise InvalidTreeError(problems)
+        total_measure = _preset_measure(preset)
+        try:
+            return padic_preset(preset["p"], preset["depth"], total_measure)
+        except ValueError as exc:  # p < 2, depth < 1, or total_measure not positive and finite
+            raise InvalidTreeError([f"padic preset: {exc}"]) from None
     entries = doc["balls"]
     try:
         parents = list(map(operator.methodcaller("get", "parent"), entries))
@@ -551,12 +558,14 @@ def _ball_entry_problems(entries) -> list[str]:
     return problems
 
 
-def _preset_number(preset: Mapping, key: str, convert, default=None):
-    value = preset.get(key, default)
+def _preset_measure(preset: Mapping) -> float:
+    value = preset.get("total_measure", 1.0)
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidTreeError([f"padic preset needs a number {key!r}, got {value!r}"]) from None
+        raise InvalidTreeError(
+            [f"padic preset needs a number 'total_measure', got {value!r}"]
+        ) from None
 
 
 def _is_number(value) -> bool:
@@ -775,55 +784,3 @@ def build_tree(spec: TreeSpec) -> BallTree:
 
 def _close(a, b):
     return np.abs(a - b) <= MEASURE_RTOL * np.maximum(np.abs(a), np.abs(b))
-
-
-# -- CSV artifacts -----------------------------------------------------------
-
-
-class _Echo:
-    """A file stand-in whose ``write`` returns the text it is given."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-def _csv_fields(values: Sequence) -> list[str]:
-    """Each value as ``csv.writer`` writes it as one field of a row.
-
-    Strings get ``csv``'s minimal quoting (a comma, a quote, CR or LF
-    quotes the field and doubles its quotes), other values their ``str``.
-    When no string needs quoting the values come back as they are.
-    """
-    try:
-        joined = "".join(values)
-    except TypeError:  # not all strings
-        joined = ","
-    if not any(c in joined for c in ',"\r\n'):
-        return list(values)  # no field needs quoting
-    row = csv.writer(_Echo()).writerow
-    # the value followed by an empty field formats as "<field>,\r\n"; a
-    # string that needs no quoting is returned as is rather than copied
-    fields = (row((value, ""))[:-3] for value in values)
-    return [value if field == value else field for value, field in zip(values, fields)]
-
-
-#: Lines joined into one ``write``.  More lines save calls but hold more
-#: text at once: writing a 2048-leaf trajectory peaks at about 0.2 MB of
-#: Python objects with 256 lines per write, 0.8 MB with 2048.
-_CSV_LINES_PER_WRITE = 256
-
-
-def _write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV file with exactly the bytes ``csv.writer`` gives.
-
-    ``lines`` are the rows, already formatted: strings through
-    ``_csv_fields``, floats as ``repr``, fields joined by commas.  Lines end
-    in CRLF and go out ``_CSV_LINES_PER_WRITE`` to a ``write``, so lines
-    from a generator never hold the whole file in memory.
-    """
-    lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_csv_fields(header)) + "\r\n")
-        while chunk := list(islice(lines, _CSV_LINES_PER_WRITE)):
-            fh.write("\r\n".join([*chunk, ""]))

@@ -37,7 +37,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .ball_tree import BallTree, _csv_fields, _require_finite, _write_csv
+from .artifacts import csv_fields, write_csv
+from .ball_tree import BallTree, _require_finite
 from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, symmetrized
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
@@ -687,16 +688,28 @@ def write_trajectory(path, tree: BallTree, times, states) -> None:
 
     ``abs2`` is ``abs(z) ** 2``, ``inf`` where that overflows.  Leaf ids are
     quoted once and each time is formatted once, not once per row.
-    """
-    leaves = _csv_fields(tree.leaves)
 
-    def lines():
-        for t, state in zip(times, states):
-            time = repr(float(t))
-            for leaf, z in zip(leaves, tree.as_leaf_values(state).tolist()):
+    Row r is leaf ``r % n`` at time ``r // n`` for n leaves, so the file can
+    be split at any row, also inside one time.  A large file is formatted on
+    every available CPU (``artifacts.write_csv``): this process writes the
+    first range of rows and forked processes each format a later range into
+    an anonymous temporary file in the output directory.  A forked process
+    reads only ``states`` and the quoted ids, writes only to its own file
+    with ``os.write``, calls no BLAS, logging or stdio, and leaves through
+    ``os._exit``.  The bytes are the same as from one process.
+    """
+    n = tree.n_leaves
+    leaves = csv_fields(tree.leaves)
+    blocks = [(repr(float(t)), tree.as_leaf_values(state)) for t, state in zip(times, states)]
+
+    def rows(start: int, stop: int):
+        for k in range(start // n, -(-stop // n)):  # the times that rows start..stop - 1 meet
+            time, values = blocks[k]
+            lo, hi = max(start - k * n, 0), min(stop - k * n, n)
+            for leaf, z in zip(leaves[lo:hi], values[lo:hi].tolist()):
                 yield f"{time},{leaf},{z.real!r},{z.imag!r},{_abs2(z)!r}"
 
-    _write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], lines())
+    write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], len(blocks) * n, rows)
 
 
 def _abs2(z: complex) -> float:
@@ -727,11 +740,14 @@ def write_summary(
     for t, state in zip(times, states):
         v = tree.as_leaf_values(state)
         m = mean(tree, v)
-        (support,) = _csv_fields([tree.ball_support(v) or "empty"])
+        (support,) = csv_fields([tree.ball_support(v) or "empty"])
         lines.append(
             f"{float(t)!r},{tree.norm(v)!r},{m.real!r},{m.imag!r},"
             f"{_masked_norm(tree, v, outside)!r},{support}"
         )
-    _write_csv(
-        path, ["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"], lines
+    write_csv(
+        path,
+        ["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"],
+        len(lines),
+        lambda start, stop: lines[start:stop],
     )

@@ -38,7 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .ball_tree import BallTree, BallValues, _csv_fields, _is_number, _write_csv, internal_values
+from .artifacts import csv_fields, write_csv
+from .ball_tree import BallTree, BallValues, _is_number, internal_values
 from .wavelet import WaveletBasis
 
 
@@ -378,15 +379,17 @@ def verify_spectrum(
 
 def write_spectrum(path, tree: BallTree, spec: Spectrum) -> None:
     """Export as CSV columns ball_id, p_I, lambda (internal balls, tree order)."""
-    lines = (
-        f"{field},{arity},{lam!r}"
+    fields = csv_fields(tree.internal)
+    arities = tree.child_count[tree.internal_balls].tolist()
+    eigenvalues = spec.for_tree(tree)
+
+    def rows(start: int, stop: int):
         for field, arity, lam in zip(
-            _csv_fields(tree.internal),
-            tree.child_count[tree.internal_balls].tolist(),
-            spec.for_tree(tree).tolist(),
-        )
-    )
-    _write_csv(path, ["ball_id", "p_I", "lambda"], lines)
+            fields[start:stop], arities[start:stop], eigenvalues[start:stop].tolist()
+        ):
+            yield f"{field},{arity},{lam!r}"
+
+    write_csv(path, ["ball_id", "p_I", "lambda"], len(fields), rows)
 
 
 def read_spectrum(path) -> dict[str, float]:
@@ -407,5 +410,10 @@ def read_spectrum(path) -> dict[str, float]:
                 raise ValueError(f"{path} has a short row on line {rows.line_num}")
             if ball_id in values:
                 raise ValueError(f"{path} lists ball {ball_id!r} more than once")
-            values[ball_id] = float(lam)
+            try:
+                values[ball_id] = float(lam)
+            except ValueError:
+                raise ValueError(
+                    f"{path} has a lambda that is not a number on line {rows.line_num}: {lam!r}"
+                ) from None
     return values

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,7 +70,9 @@ def test_padic_preset_p3_depth1():
     assert abs(tree.total_measure - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("p, depth, total", [(1, 1, 1.0), (2, 0, 1.0), (2, 1, 0.0)])
+@pytest.mark.parametrize(
+    "p, depth, total", [(1, 1, 1.0), (2, 0, 1.0), (2, 1, 0.0), (2, 1, math.inf)]
+)
 def test_padic_preset_rejects_bad_parameters(p, depth, total):
     with pytest.raises(ValueError):
         uw.padic_preset(p, depth, total)

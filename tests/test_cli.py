@@ -115,13 +115,38 @@ _LEAVES = [
              "leaf_measures": [1.0, 1.0]},
             "'leaf_measures' must be an object, got list",
         ),
+        (
+            {"preset": {"type": "padic", "p": 1, "depth": 2}},
+            "padic preset: p must be an integer >= 2, got 1",
+        ),
+        (
+            {"preset": {"type": "padic", "p": 2, "depth": 0}},
+            "padic preset: depth must be an integer >= 1, got 0",
+        ),
+        (
+            {"preset": {"type": "padic", "p": "3", "depth": 2}},
+            "padic preset needs a number 'p', got '3'",
+        ),
+        (
+            {"preset": {"type": "padic", "p": 2, "depth": True}},
+            "padic preset needs a number 'depth', got True",
+        ),
+        (
+            {"preset": {"type": "padic", "p": 2.5, "depth": 2}},
+            "padic preset needs an integer 'p', got 2.5",
+        ),
+        (
+            '{"preset": {"type": "padic", "p": 2, "depth": 2, "total_measure": 1e999}}',
+            "padic preset: total_measure must be positive and finite, got inf",
+        ),
     ],
     ids=["array", "preset-without-p", "ball-without-diameter", "entry-not-object",
-         "leaf-measures-list"],
+         "leaf-measures-list", "preset-p-1", "preset-depth-0", "preset-p-string",
+         "preset-depth-true", "preset-p-float", "preset-measure-overflows"],
 )
 def test_malformed_tree_spec_is_a_named_violation(tmp_path, capsys, doc, violation):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["validate", "--tree", str(path)]) == 1
     assert f"violation: {violation}" in capsys.readouterr().out
     rc = main(["spectrum", "--tree", str(path), "--alpha", "0.5", "--out", str(tmp_path)])
@@ -218,8 +243,12 @@ def test_malformed_kernel_file_is_a_usage_error(tree_file, tmp_path, capsys, ker
             "ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0,2,1.5\r\nr.1,2,1.5\r\nr.0,2,1.5\r\n",
             "lists ball 'r.0' more than once",
         ),
+        (
+            "ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0,2,abc\r\nr.1,2,1.5\r\n",
+            "has a lambda that is not a number on line 3: 'abc'",
+        ),
     ],
-    ids=["no-lambda", "no-ball-id", "short-row", "repeated-ball"],
+    ids=["no-lambda", "no-ball-id", "short-row", "repeated-ball", "lambda-not-a-number"],
 )
 def test_malformed_expected_spectrum_is_a_usage_error(
     tree_file, kernel_file, tmp_path, capsys, text, message

@@ -3,19 +3,49 @@
 Each ``_reference_*`` function below is the plain row-by-row writer the
 artifacts were defined by; the library formats whole blocks at a time and
 must match it byte for byte, including quoting of awkward ids and the
-last bit of every float.
+last bit of every float, whether one process writes the file or several
+format row ranges of it.
 """
 
 import csv
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
 import ultrawave as uw
+from ultrawave import artifacts, evolution
 from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec
 from ultrawave.evolution import write_summary, write_trajectory
 from ultrawave.pdo import Spectrum, write_spectrum
+
+#: Processes per file in the tests that split files: 1 is the serial path.
+SHARD_COUNTS = (1, 2, 3)
+
+
+def _force_shards(monkeypatch, shards):
+    """Split every file of at least ``shards`` rows into ``shards`` ranges.
+
+    Returns the list that collects one entry per fork in this process.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(artifacts, "_available_cpus", lambda: shards)
+    monkeypatch.setattr(artifacts, "_MIN_ROWS_PER_SHARD", 1)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _reference_trajectory(path, tree, times, states):
@@ -134,13 +164,20 @@ def _assert_same_bytes(write, reference, tmp_path, *args):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
-def test_trajectory_bytes_match_csv_writer(odd_tree, tmp_path):
-    states = _states(odd_tree.n_leaves) * 3  # over 256 lines: several writes
+def test_trajectory_bytes_match_csv_writer(odd_tree, tmp_path, monkeypatch):
+    # 77 times of 5 leaves, over 256 lines (several writes); 2 and 3 ranges
+    # split it at rows 192, 128 and 256, all inside a time
+    states = (_states(odd_tree.n_leaves) * 3)[:-1]
     times = (TIMES * len(states))[: len(states)]
-    _assert_same_bytes(
-        write_trajectory, _reference_trajectory, tmp_path, odd_tree, times, states
-    )
-    assert b",1e+200,1e+199,inf\r\n" in (tmp_path / "ours.csv").read_bytes()
+    for shards in SHARD_COUNTS:
+        forks = _force_shards(monkeypatch, shards)
+        _assert_same_bytes(
+            write_trajectory, _reference_trajectory, tmp_path, odd_tree, times, states
+        )
+        assert len(forks) == shards - 1
+        assert b",1e+200,1e+199,inf\r\n" in (tmp_path / "ours.csv").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ours.csv", "reference.csv"]
+    _assert_no_child_left()
 
 
 def test_trajectory_abs2_is_pow_not_product(binary_tree, tmp_path):
@@ -180,13 +217,85 @@ def test_spectrum_bytes_match_csv_writer(odd_tree, tmp_path):
         )
 
 
-def test_writers_match_csv_writer_across_writes(tmp_path):
-    """Files of one, two and several writes of 256 lines each."""
+def test_writers_match_csv_writer_across_writes(tmp_path, monkeypatch):
+    """Files of one, two and several writes of 256 lines each, split into
+    1, 2 and 3 ranges, inside a time (one time of 512 leaves, and three
+    times in two ranges) and at the end of one (three times in three)."""
     rng = np.random.default_rng(9)
     tree = uw.build_tree(uw.padic_preset(2, 9))  # 512 leaves, 511 internal balls
     spec = uw.spectrum(tree, uw.vladimirov_kernel(tree, 0.5))
     values = rng.normal(size=(3, 512)) + 1j * rng.normal(size=(3, 512))
-    _assert_same_bytes(write_spectrum, _reference_spectrum, tmp_path, tree, spec)
-    for count in (0, 1, 3):
-        times, states = [0.5, -1.0, 2.0][:count], list(values[:count])
-        _assert_same_bytes(write_trajectory, _reference_trajectory, tmp_path, tree, times, states)
+    for shards in SHARD_COUNTS:
+        _force_shards(monkeypatch, shards)
+        _assert_same_bytes(write_spectrum, _reference_spectrum, tmp_path, tree, spec)
+        for count in (0, 1, 3):
+            times, states = [0.5, -1.0, 2.0][:count], list(values[:count])
+            _assert_same_bytes(
+                write_trajectory, _reference_trajectory, tmp_path, tree, times, states
+            )
+    _assert_no_child_left()
+
+
+def test_shards_follow_cpus_row_count_and_fork(monkeypatch):
+    monkeypatch.setattr(artifacts, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(artifacts, "_MIN_ROWS_PER_SHARD", 4)
+    assert artifacts._shards(0) == [(0, 0)]
+    assert artifacts._shards(7) == [(0, 7)]  # too few rows for two ranges
+    assert artifacts._shards(8) == [(0, 4), (4, 8)]
+    assert artifacts._shards(100) == [(0, 33), (33, 66), (66, 100)]  # one range per CPU
+    monkeypatch.delattr(os, "fork")
+    assert artifacts._shards(100) == [(0, 100)]
+
+
+#: A value no test state holds; formatting its row raises.
+MARKER = complex(7.0, -7.0)
+
+
+def _write_with_marker(tmp_path, monkeypatch, row, abs2):
+    """Write 3 times of 512 leaves in 3 ranges, MARKER at ``row``, with
+    ``abs2`` formatting the abs2 column; return the output path."""
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    states = list(np.random.default_rng(3).normal(size=(3, 512)) + 0j)
+    states[row // 512][row % 512] = MARKER
+    forks = _force_shards(monkeypatch, 3)
+    monkeypatch.setattr(evolution, "_abs2", abs2)
+    path = tmp_path / "trajectory.csv"
+    try:
+        write_trajectory(path, tree, [0.0, 1.0, 2.0], states)
+    finally:
+        assert len(forks) == 2
+    return path
+
+
+def test_failed_range_raises_oserror_and_leaves_nothing(tmp_path, monkeypatch):
+    def abs2(z):
+        if z == MARKER:
+            raise ValueError("cannot format")
+        return abs(z) ** 2
+
+    with pytest.raises(OSError) as raised:
+        _write_with_marker(tmp_path, monkeypatch, 1535, abs2)  # the last range's last row
+    assert str(tmp_path / "trajectory.csv") in str(raised.value)
+    assert "rows 1024 to 1535" in str(raised.value)
+    assert list(tmp_path.iterdir()) == []  # no output and no temporary file
+    _assert_no_child_left()
+
+
+def test_interrupt_in_own_range_kills_every_forked_process(tmp_path, monkeypatch):
+    parent = os.getpid()
+    slept = []
+
+    def abs2(z):
+        if z == MARKER:
+            raise KeyboardInterrupt
+        if os.getpid() != parent and not slept:
+            slept.append(1)
+            time.sleep(20)  # a forked process is still busy when this one is interrupted
+        return abs(z) ** 2
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _write_with_marker(tmp_path, monkeypatch, 0, abs2)
+    assert time.monotonic() - start < 10  # killed, not waited for
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
