@@ -33,7 +33,7 @@ import gc
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 
 import numpy as np
 
@@ -683,33 +683,74 @@ def _float_column(path, columns, k: int | None, name: str, empty: float | None =
     return np.array(cells, dtype=float)
 
 
+#: Rows whose runs are found with one set of numpy calls and formatted
+#: together.  They span as many times as they reach, so short times (16
+#: leaves, say) do not pay those calls once per time.
+_RUN_ROWS = 1024
+
+
 def write_trajectory(path, tree: BallTree, times, states) -> None:
     """Per-time leaf values: columns time, leaf_id, re, im, abs2.
 
     ``abs2`` is ``abs(z) ** 2``, ``inf`` where that overflows.  Leaf ids are
     quoted once and each time is formatted once, not once per row.
 
-    Row r is leaf ``r % n`` at time ``r // n`` for n leaves, so the file can
-    be split at any row, also inside one time.  A large file is formatted on
-    every available CPU (``artifacts.write_csv``): this process writes the
-    first range of rows and forked processes each format a later range into
-    an anonymous temporary file in the output directory.  A forked process
-    reads only ``states`` and the quoted ids, writes only to its own file
-    with ``os.write``, calls no BLAS, logging or stdio, and leaves through
-    ``os._exit``.  The bytes are the same as from one process.
+    Row r is leaf ``r % n`` at time ``r // n`` for n leaves.  A run is a
+    stretch of consecutive rows whose values have the same bits (so 0.0 and
+    -0.0 differ): a localized state is constant on the children of every
+    ball outside its support, so its rows hold few runs.  Each run's
+    ``re,im,abs2`` is formatted once and repeated on its rows.
+
+    A file of many runs is formatted on every available CPU
+    (``artifacts.write_csv``), in row ranges of equal numbers of runs: this
+    process writes the first range and forked processes each format a later
+    range into an anonymous temporary file in the output directory.  A forked
+    process reads only ``states`` and the quoted ids, writes only to its own
+    file with ``os.write``, calls no BLAS, logging or stdio, and leaves
+    through ``os._exit``.  The bytes are the same as from one process.
     """
     n = tree.n_leaves
     leaves = csv_fields(tree.leaves)
-    blocks = [(repr(float(t)), tree.as_leaf_values(state)) for t, state in zip(times, states)]
+    stamps = [repr(float(t)) for t in times]
+    values = [tree.as_leaf_values(state) for state in states]
+
+    def begins(start: int, stop: int):
+        """The values of rows start..stop - 1, and a flag per row that is true
+        where a run begins: the first row, and each row whose bits differ from
+        the row before."""
+        (k, j), (last, i) = divmod(start, n), divmod(stop - 1, n)
+        if k == last:
+            v = np.ascontiguousarray(values[k][j : i + 1])
+        else:
+            v = np.concatenate([values[k][j:], *values[k + 1 : last], values[last][: i + 1]])
+        bits = v.view(np.uint64)  # re and im of each value, side by side
+        differ = bits[2:] != bits[:-2]
+        flags = np.empty(len(v), dtype=bool)
+        flags[0] = True
+        np.logical_or(differ[0::2], differ[1::2], out=flags[1:])
+        return v, flags
+
+    def runs(start: int, stop: int):
+        before = min(start, 1)  # the row before start decides whether start begins a run
+        return start + np.flatnonzero(begins(start - before, stop)[1][before:])
 
     def rows(start: int, stop: int):
-        for k in range(start // n, -(-stop // n)):  # the times that rows start..stop - 1 meet
-            time, values = blocks[k]
-            lo, hi = max(start - k * n, 0), min(stop - k * n, n)
-            for leaf, z in zip(leaves[lo:hi], values[lo:hi].tolist()):
-                yield f"{time},{leaf},{z.real!r},{z.imag!r},{_abs2(z)!r}"
+        for lo in range(start, stop, _RUN_ROWS):
+            hi = min(lo + _RUN_ROWS, stop)
+            v, flags = begins(lo, hi)
+            firsts = np.flatnonzero(flags)
+            texts = [f"{z.real!r},{z.imag!r},{_abs2(z)!r}" for z in v[firsts].tolist()]
+            if len(texts) < hi - lo:  # each run's text once per row
+                lengths = np.diff(firsts, append=hi - lo).tolist()
+                texts = chain.from_iterable(map(repeat, texts, lengths))
+            texts = iter(texts)
+            for k in range(lo // n, -(-hi // n)):
+                time = stamps[k]
+                # zip stops at the last leaf, before it takes the next time's first text
+                for leaf, text in zip(leaves[max(lo - k * n, 0) : hi - k * n], texts):
+                    yield f"{time},{leaf},{text}"
 
-    write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], len(blocks) * n, rows)
+    write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], len(values) * n, rows, runs)
 
 
 def _abs2(z: complex) -> float:

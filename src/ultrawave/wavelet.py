@@ -382,5 +382,9 @@ def build_basis(tree: BallTree) -> WaveletBasis:
 
 
 def mean(tree: BallTree, values) -> complex:
-    """Measure-weighted integral of a leaf function."""
-    return complex(tree.as_leaf_values(values) @ tree.leaf_measures)
+    """Measure-weighted integral of a leaf function.
+
+    Summed by numpy's pairwise ``sum``, whose order is fixed, not as a BLAS
+    dot product, whose order follows the BLAS thread count.
+    """
+    return complex(np.sum(tree.as_leaf_values(values) * tree.leaf_measures))

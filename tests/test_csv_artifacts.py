@@ -10,6 +10,7 @@ format row ranges of it.
 import csv
 import math
 import os
+import struct
 import time
 
 import numpy as np
@@ -247,15 +248,111 @@ def test_shards_follow_cpus_row_count_and_fork(monkeypatch):
     assert artifacts._shards(100) == [(0, 100)]
 
 
+def _count_runs(states, start, stop):
+    """Runs among rows ``start..stop - 1``, counted row by row: a row begins
+    one where its bits differ from the row before."""
+    bits = [struct.pack("<dd", z.real, z.imag) for s in states for z in np.asarray(s, complex)]
+    return sum(r == start or bits[r] != bits[r - 1] for r in range(start, stop))
+
+
+def _recorded_shards(monkeypatch):
+    """The ranges of the latest ``_shards`` call, kept up to date."""
+    ranges = []
+    shards = artifacts._shards
+
+    def recorded(*args):
+        ranges[:] = shards(*args)
+        return ranges
+
+    monkeypatch.setattr(artifacts, "_shards", recorded)
+    return ranges
+
+
+#: Consecutive zeros of every sign, each repeated: each sign is a run of its own.
+SIGNED_ZEROS = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("run_rows", [3, 1024])
+def test_runs_of_equal_values_match_csv_writer(tmp_path, monkeypatch, run_rows):
+    """Signed zeros side by side, a run whose abs2 overflows, and runs
+    longer than a write, across chunk, time and range boundaries."""
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    monkeypatch.setattr(evolution, "_RUN_ROWS", run_rows)
+    monkeypatch.setattr(artifacts, "_RUN_COUNT_ROWS", 5)
+    zeros = np.repeat(SIGNED_ZEROS * 4, 2)  # 32 values, runs of 2
+    huge = np.full(40, 1e200 + 1e199j)  # abs2 inf on every row
+    ramp = np.repeat(np.arange(11) * 0.1 - 0.5, 40)  # runs of 40; 0.5 reaches the next time
+    first = np.concatenate([zeros, huge, ramp])
+    states = [first, first[::-1].copy(), np.full(512, 0.25 - 2j), np.zeros(512)]
+    times = [0.0, -0.0, 1.5, 2.0]
+    runs = _count_runs(states, 0, 4 * 512)
+    assert runs == 32 // 2 + 1 + 11 + 10 + 1 + 16 + 1 + 1
+    for shards in SHARD_COUNTS:
+        forks = _force_shards(monkeypatch, shards)
+        ranges = _recorded_shards(monkeypatch)
+        _assert_same_bytes(write_trajectory, _reference_trajectory, tmp_path, tree, times, states)
+        assert len(forks) == shards - 1
+        shares = [_count_runs(states, start, stop) for start, stop in ranges]
+        assert sum(shares) == runs and max(shares) - min(shares) <= 1
+    written = (tmp_path / "ours.csv").read_bytes()
+    assert written.count(b",1e+200,1e+199,inf\r\n") == 80
+    assert written.count(b",-0.0,-0.0,0.0\r\n") == 2 * 4 * 2  # two times, four runs of 2
+    _assert_no_child_left()
+
+
+def test_zeros_then_dense_values_split_into_equal_runs(tmp_path, monkeypatch):
+    """A long stretch of zeros, then random values: equal rows would give
+    the last range every run, equal runs give each range a third."""
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    rng = np.random.default_rng(55)
+    dense = rng.normal(size=256) + 1j * rng.normal(size=256)
+    states = [np.zeros(512, complex), np.concatenate([np.zeros(256), dense])]
+    monkeypatch.setattr(artifacts, "_RUN_COUNT_ROWS", 100)
+    forks = _force_shards(monkeypatch, 3)
+    monkeypatch.setattr(artifacts, "_MIN_ROWS_PER_SHARD", 20)
+    ranges = _recorded_shards(monkeypatch)
+    times = [0.0, 1.0]
+    _assert_same_bytes(write_trajectory, _reference_trajectory, tmp_path, tree, times, states)
+    assert len(forks) == 2
+    shares = [_count_runs(states, start, stop) for start, stop in ranges]
+    assert shares == [85, 86, 86]  # a run of 768 zeros and 256 values
+    assert ranges[0][1] - ranges[0][0] > 2 * 512 - 256  # the zeros stay in one range
+    _assert_no_child_left()
+
+
+def _runs_at(firsts):
+    """A ``runs`` function for runs that begin at the rows ``firsts``."""
+    return lambda start, stop: [row for row in firsts if start <= row < stop]
+
+
+def test_shards_split_runs_not_rows(monkeypatch):
+    monkeypatch.setattr(artifacts, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(artifacts, "_MIN_ROWS_PER_SHARD", 4)
+    monkeypatch.setattr(artifacts, "_RUN_COUNT_ROWS", 7)
+    # one run of 60 rows, then 40 of one row: 13, 14 and 14 runs per range
+    long_then_short = _runs_at([0, *range(60, 100)])
+    assert artifacts._shards(100, long_then_short) == [(0, 72), (72, 86), (86, 100)]
+    assert artifacts._shards(100, _runs_at([0])) == [(0, 100)]
+    assert artifacts._shards(100, _runs_at([0, 50, 90])) == [(0, 100)]  # under 4 runs a range
+
+    def uncounted(start, stop):
+        pytest.fail("runs counted on one CPU")
+
+    monkeypatch.setattr(artifacts, "_available_cpus", lambda: 1)
+    assert artifacts._shards(100, uncounted) == [(0, 100)]
+
+
 #: A value no test state holds; formatting its row raises.
 MARKER = complex(7.0, -7.0)
 
 
-def _write_with_marker(tmp_path, monkeypatch, row, abs2):
+def _write_with_marker(tmp_path, monkeypatch, row, abs2, states=None):
     """Write 3 times of 512 leaves in 3 ranges, MARKER at ``row``, with
-    ``abs2`` formatting the abs2 column; return the output path."""
+    ``abs2`` formatting the abs2 column; return the output path.  The
+    states default to random values, one run per row."""
     tree = uw.build_tree(uw.padic_preset(2, 9))
-    states = list(np.random.default_rng(3).normal(size=(3, 512)) + 0j)
+    if states is None:
+        states = list(np.random.default_rng(3).normal(size=(3, 512)) + 0j)
     states[row // 512][row % 512] = MARKER
     forks = _force_shards(monkeypatch, 3)
     monkeypatch.setattr(evolution, "_abs2", abs2)
@@ -278,6 +375,23 @@ def test_failed_range_raises_oserror_and_leaves_nothing(tmp_path, monkeypatch):
     assert str(tmp_path / "trajectory.csv") in str(raised.value)
     assert "rows 1024 to 1535" in str(raised.value)
     assert list(tmp_path.iterdir()) == []  # no output and no temporary file
+    _assert_no_child_left()
+
+
+def test_failed_range_names_rows_when_runs_are_fewer(tmp_path, monkeypatch):
+    def abs2(z):
+        if z == MARKER:
+            raise ValueError("cannot format")
+        return abs(z) ** 2
+
+    # two times of zeros (one run), then 512 random values: 513 runs, split
+    # at runs 171 and 342, which begin rows 1024 + 170 and 1024 + 341
+    states = [np.zeros(512, complex), np.zeros(512, complex)]
+    states.append(np.random.default_rng(3).normal(size=512) + 0j)
+    with pytest.raises(OSError) as raised:
+        _write_with_marker(tmp_path, monkeypatch, 1535, abs2, states)
+    assert "rows 1365 to 1535" in str(raised.value)
+    assert list(tmp_path.iterdir()) == []
     _assert_no_child_left()
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -146,6 +149,32 @@ def test_mean_examples(binary_tree):
     indicator = np.zeros(4)
     indicator[3] = 1.0
     assert uw.mean(binary_tree, indicator) == pytest.approx(0.25, abs=1e-16)
+
+
+#: The mean of seeded complex values on a 2^16-leaf tree, printed with repr.
+MEAN_SCRIPT = """
+import numpy as np
+import ultrawave as uw
+tree = uw.build_tree(uw.padic_preset(256, 2))
+rng = np.random.default_rng(11)
+print(repr(uw.mean(tree, rng.standard_normal(65536) + 1j * rng.standard_normal(65536))))
+"""
+
+
+def test_mean_is_the_same_for_every_blas_thread_count():
+    # a BLAS dot product sums in an order that follows its thread count
+    means = set()
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(uw.__file__)), env.get("PYTHONPATH", "")]
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", MEAN_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        means.add(run.stdout)
+    assert len(means) == 1, means
 
 
 def _contains(tree, outer, inner):
