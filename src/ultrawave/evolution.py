@@ -184,8 +184,9 @@ def evolve_with_potential(
     the largest |t| sets the number of Chebyshev products.  The dense
     eigendecomposition is used where it is measured to be cheaper
     (``_dense_is_cheaper``), the Chebyshev route
-    (``chebyshev_evolve_with_potential``) everywhere else.  Both preserve
-    the norm to linear-algebra accuracy.
+    (``chebyshev_evolve_with_potential``) everywhere else; it rejects a
+    half-width times max|t| above ``_CHEBYSHEV_MAX_WIDTH_TIME``.  Both
+    preserve the norm to linear-algebra accuracy.
     """
     v, u = _potential_inputs(tree, values, potential)
     spec = build_spectrum(tree, kernel)
@@ -279,6 +280,14 @@ _KRYLOV_TOL = 1e-12
 #: Chebyshev vectors held at once; each full block is added into every
 #: sample time's state by one matrix product.
 _CHEBYSHEV_BLOCK = 16
+#: Largest half-width * max|t| that ``chebyshev_expm`` accepts; it takes about
+#: that many products.  At the bound the order search in
+#: ``_negligible_order`` takes 0.19 s and ``bessel_j`` fills 1.36e6 doubles
+#: (11 MB) per time, plus 16 MB of coefficients per time (2-vCPU VM,
+#: Python 3.11); all grow linearly with it.  A product on the 4-leaf p = 2
+#: tree takes about 50 us, so the bound is about a minute of products even
+#: there.
+_CHEBYSHEV_MAX_WIDTH_TIME = 1e6
 
 
 def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[np.ndarray]:
@@ -293,8 +302,9 @@ def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[
     error is at most that times |start|; the degree is fixed before any
     product is taken.  All times, of either sign and in any order, share
     one three-term recurrence T_{k+1} = 2 (A / h) T_k - T_{k-1}, so the
-    number of products is the largest degree, about h * max|t|.  States
-    come back in the order of ``times``.
+    number of products is the largest degree, about h * max|t|, which may
+    be at most ``_CHEBYSHEV_MAX_WIDTH_TIME``.  States come back in the order
+    of ``times``.
     """
     h = float(half_width)
     if not (math.isfinite(h) and h >= 0):
@@ -306,6 +316,13 @@ def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[
                 f"evolution times must be finite, as must their product with the "
                 f"half-width {h}; got {t}"
             )
+    longest = max(times, key=abs, default=0.0)
+    if h * abs(longest) > _CHEBYSHEV_MAX_WIDTH_TIME:
+        raise ValueError(
+            f"time {longest!r} is too large: with the spectral half-width {h!r} it needs "
+            f"about {h * abs(longest):.3g} Chebyshev products, more than the "
+            f"{_CHEBYSHEV_MAX_WIDTH_TIME:.0e} allowed"
+        )
     start = np.asarray(start, dtype=complex)
     expansions = [_chebyshev_coefficients(h * t) for t in times]
     degree = max((c.size for c in expansions), default=1) - 1
@@ -461,7 +478,7 @@ def check_localization(
     configured time, and the mass outside B plus the integral of the state
     are measured.  Structurally both must vanish: a mean-zero packet in B
     expands purely over wavelets inside B, and evolution only rotates
-    coefficient phases, so any excess signals an implementation bug.
+    coefficient phases, so any excess shows an implementation bug.
 
     A packet that is not mean zero is reported as a precondition failure
     rather than an error; with ``demonstrate_leakage`` the dense propagator
@@ -728,15 +745,8 @@ def write_trajectory(path, tree: BallTree, times, states) -> None:
     ``re,im,abs2`` is formatted once, and its rows within one time and one
     block of ``_BLOCK_ROWS`` rows are written by one ``str.join`` over their
     leaf ids (a lone row without the join), so a repeated row costs only the
-    copy of its bytes.
-
-    A file of many runs is formatted on every available CPU
-    (``artifacts.write_csv``), in row ranges of equal numbers of runs: this
-    process writes the first range and forked processes each format a later
-    range into an anonymous temporary file in the output directory.  A forked
-    process reads only ``states`` and the quoted ids, writes only to its own
-    file with ``os.write``, calls no BLAS, logging or stdio, and leaves
-    through ``os._exit``.  The bytes are the same as from one process.
+    copy of its bytes.  The rows go out in order through
+    ``artifacts.write_csv``, from this process alone.
     """
     n = tree.n_leaves
     leaves = csv_fields(tree.leaves)
@@ -759,13 +769,10 @@ def write_trajectory(path, tree: BallTree, times, states) -> None:
         np.logical_or(differ[0::2], differ[1::2], out=flags[1:])
         return v, flags
 
-    def runs(start: int, stop: int):
-        before = min(start, 1)  # the row before start decides whether start begins a run
-        return start + np.flatnonzero(begins(start - before, stop)[1][before:])
-
-    def rows(start: int, stop: int):
-        for lo in range(start, stop, _RUN_ROWS):
-            hi = min(lo + _RUN_ROWS, stop)
+    def rows():
+        count = len(values) * n
+        for lo in range(0, count, _RUN_ROWS):
+            hi = min(lo + _RUN_ROWS, count)
             v, flags = begins(lo, hi)
             firsts = np.flatnonzero(flags)
             texts = [f"{z.real!r},{z.imag!r},{_abs2(z)!r}" for z in v[firsts].tolist()]
@@ -789,7 +796,7 @@ def write_trajectory(path, tree: BallTree, times, states) -> None:
                     lines.append(f"{stamps[k]},{sep.join(leaves[j : j + b - a])},{text}")
             yield "\r\n".join(lines)
 
-    write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], len(values) * n, rows, runs)
+    write_csv(path, ["time", "leaf_id", "re", "im", "abs2"], rows())
 
 
 def _abs2(z: complex) -> float:
@@ -825,9 +832,4 @@ def write_summary(
             f"{float(t)!r},{tree.norm(v)!r},{m.real!r},{m.imag!r},"
             f"{_masked_norm(tree, v, outside)!r},{support}"
         )
-    write_csv(
-        path,
-        ["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"],
-        len(lines),
-        lambda start, stop: lines[start:stop],
-    )
+    write_csv(path, ["time", "norm", "mean_re", "mean_im", "outside_mass", "support_ball"], lines)

@@ -381,15 +381,9 @@ def write_spectrum(path, tree: BallTree, spec: Spectrum) -> None:
     """Export as CSV columns ball_id, p_I, lambda (internal balls, tree order)."""
     fields = csv_fields(tree.internal)
     arities = tree.child_count[tree.internal_balls].tolist()
-    eigenvalues = spec.for_tree(tree)
-
-    def rows(start: int, stop: int):
-        for field, arity, lam in zip(
-            fields[start:stop], arities[start:stop], eigenvalues[start:stop].tolist()
-        ):
-            yield f"{field},{arity},{lam!r}"
-
-    write_csv(path, ["ball_id", "p_I", "lambda"], len(fields), rows)
+    eigenvalues = spec.for_tree(tree).tolist()
+    rows = (f"{field},{arity},{lam!r}" for field, arity, lam in zip(fields, arities, eigenvalues))
+    write_csv(path, ["ball_id", "p_I", "lambda"], rows)
 
 
 def read_spectrum(path) -> dict[str, float]:

@@ -574,6 +574,37 @@ def test_evolve_rejects_a_time_whose_phase_overflows(
     assert not out.exists()
 
 
+def test_evolve_potential_on_a_large_tree_rejects_a_time_past_the_chebyshev_bound(
+    tmp_path, capsys
+):
+    # 8192 leaves take the Chebyshev route whatever the time
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps({"preset": {"type": "padic", "p": 2, "depth": 13}}))
+    tree = uw.build_tree(uw.padic_preset(2, 13))
+    values = np.random.default_rng(8).normal(size=tree.n_leaves)
+    for name, column in (("initial.csv", values), ("potential.csv", abs(values))):
+        with open(tmp_path / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["leaf_id", "re", "im"])
+            for leaf, v in zip(tree.leaves, column.tolist()):
+                writer.writerow([leaf, repr(v), "0.0"])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_path), "--alpha", "0.5",
+            "--initial", str(tmp_path / "initial.csv"), "--mode", "potential",
+            "--potential", str(tmp_path / "potential.csv"), "--times", "0,1e9",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "time 1000000000.0 is too large: with the spectral half-width" in err
+    assert "Chebyshev products, more than the 1e+06 allowed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evolve_heat_at_an_overflowing_time_keeps_the_constant_part(
     tree_file, kernel_file, tmp_path, capsys
 ):

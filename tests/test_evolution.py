@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -519,6 +521,21 @@ def test_chebyshev_expm_rejects_non_finite_input_before_any_product():
         chebyshev_expm(matvec, start, (1.0, np.nan), 2.0)
     with pytest.raises(ValueError, match=r"product with the half-width 1e\+200; got 1e\+200"):
         chebyshev_expm(matvec, start, (1.0, 1e200), 1e200)
+
+
+def test_chebyshev_route_rejects_a_time_past_its_bound_at_once(binary_tree, binary_kernel):
+    config = uw.EvolutionConfig(times=(0.0, 1e9))
+    start = time.monotonic()
+    # the spectrum of H is [0, 1.5]: half-width 0.75
+    message = (
+        r"^time 1000000000\.0 is too large: with the spectral half-width 0\.75 it needs "
+        r"about 7\.5e\+08 Chebyshev products, more than the 1e\+06 allowed$"
+    )
+    with pytest.raises(ValueError, match=message):
+        chebyshev_evolve_with_potential(
+            np.array([1.0, -1.0, 0.0, 0.0]), np.zeros(4), binary_tree, binary_kernel, config
+        )
+    assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
