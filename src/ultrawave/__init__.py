@@ -37,7 +37,7 @@ from .pdo import (
     verify_spectrum,
     vladimirov_kernel,
 )
-from .wavelet import Wavelet, WaveletBasis, build_basis, mean
+from .wavelet import WaveletBasis, build_basis, mean
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "SpectrumVerification",
     "SupKernel",
     "TreeSpec",
-    "Wavelet",
     "WaveletBasis",
     "WavePacket",
     "build_basis",

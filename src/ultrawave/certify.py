@@ -35,7 +35,6 @@ from .evolution import (
 from .pdo import (
     Spectrum,
     SupKernel,
-    dense_operator,
     make_kernel,
     spectrum,
     verify_spectrum,
@@ -210,7 +209,7 @@ def unitarity_checks(
         ),
     ]
     if tree.n_leaves <= dense_leaf_limit:
-        dense_state = DensePropagator(tree, dense_operator(tree, kernel)).schrodinger(values, t1)
+        dense_state = DensePropagator(tree, kernel).schrodinger(values, t1)
         deviation = tree.norm(first.leaf_values() - dense_state) / norm0
         checks.append(("spectral_dense_equivalence", deviation, 1e-8))
         checks.append(
@@ -231,7 +230,7 @@ def _potential_deviation(
     states = chebyshev_evolve_with_potential(
         values, potential, tree, kernel, EvolutionConfig(times=tuple(times))
     )
-    propagator = DensePropagator(tree, dense_operator(tree, kernel) + np.diag(potential))
+    propagator = DensePropagator(tree, kernel, potential)
     norm0 = max(tree.norm(values), _TINY)
     return max(
         tree.norm(state - propagator.schrodinger(values, t)) / norm0

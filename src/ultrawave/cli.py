@@ -123,10 +123,7 @@ def cmd_evolve(args) -> int:
             print("error: --mode potential requires --potential", file=sys.stderr)
             return 2
         potential = read_leaf_values(args.potential, tree)
-        if any(potential.imag != 0):
-            print("error: potential must be real-valued", file=sys.stderr)
-            return 2
-        states = evolve_with_potential(values, potential.real, tree, kernel, config)
+        states = evolve_with_potential(values, potential, tree, kernel, config)
     else:
         basis = build_basis(tree)
         packet = WavePacket.from_leaf_values(basis, spectrum(tree, kernel), values)

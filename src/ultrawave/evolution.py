@@ -20,9 +20,12 @@ times the largest |t| exceeds a measured 1.5e-3 * n**2, on trees of at
 most 4096 leaves.
 
 ``DensePropagator`` evolves leaf functions directly through an
-eigendecomposition of the measure-symmetrized operator matrix, with no
-reference to wavelets; it is the cross-check route for everything above
-and the potential route for small or stiff problems.
+eigendecomposition of the operator, optionally plus a potential, in the
+symmetric form that :func:`~.pdo.symmetric_operator` builds from the pair
+definition, with no reference to wavelets; it is the cross-check route for
+everything above and the potential route for small or stiff problems.  On
+that route it is built for H / hbar, from the kernel times hbar and the
+potential U / hbar, so the state at time t is ``schrodinger(v, t)``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .artifacts import csv_fields, write_csv
-from .ball_tree import BallTree, _require_finite
-from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, symmetrized
+from .ball_tree import BallTree, BallValues, _require_finite
+from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, symmetric_operator
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
 
@@ -143,18 +146,18 @@ def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 class DensePropagator:
     """exp(scale * H) applied through the eigendecomposition of H.
 
-    H must be self-adjoint under the measure-weighted inner product (any
-    dense operator matrix, optionally plus a real diagonal potential).
-    Conjugation by diag(sqrt(nu)) turns it into a symmetric matrix whose
-    eigendecomposition gives the exact propagator up to linear-algebra
-    accuracy, with no series truncation.
+    H is the kernel's operator, optionally plus a real diagonal
+    ``potential`` (one value per leaf), built from the pair definition by
+    :func:`~.pdo.symmetric_operator` in its symmetric sqrt(nu)-conjugated
+    form.  Its eigendecomposition gives the exact propagator up to
+    linear-algebra accuracy, with no series truncation.
     """
 
-    def __init__(self, tree: BallTree, matrix: np.ndarray):
+    def __init__(self, tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None):
         self.tree = tree
         self._root_weights = np.sqrt(tree.leaf_measures)
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(
-            symmetrized(tree, matrix)
+            symmetric_operator(tree, kernel, potential)
         )
 
     def expm_apply(self, values, scale: complex) -> np.ndarray:
@@ -167,9 +170,6 @@ class DensePropagator:
     def schrodinger(self, values, t: float, hbar: float = 1.0) -> np.ndarray:
         """Unitary evolution exp(-i*hbar*t*H) matching the free spectral route."""
         return self.expm_apply(values, -1j * hbar * t)
-
-    def heat(self, values, t: float) -> np.ndarray:
-        return self.expm_apply(values, -t)
 
 
 def evolve_with_potential(
@@ -199,9 +199,12 @@ def evolve_with_potential(
             )
     longest = max((abs(t) for t in config.times), default=0.0)
     if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
-        hamiltonian = config.hbar**2 * dense_operator(tree, kernel) + np.diag(u)
-        propagator = DensePropagator(tree, hamiltonian)
-        return [propagator.expm_apply(v, -1j * t / config.hbar) for t in config.times]
+        # H / hbar = hbar * operator + U / hbar, scaled as on the Chebyshev route:
+        # its spectrum lies in [low, high], checked finite above, while
+        # U / hbar**2 would overflow for hbar below about 1e-154
+        scaled = SupKernel(BallValues(tree, config.hbar * kernel.values.array))
+        propagator = DensePropagator(tree, scaled, u / config.hbar)
+        return [propagator.schrodinger(v, t) for t in config.times]
     return _chebyshev_route(tree, spec, v, u, config)
 
 
@@ -503,7 +506,7 @@ def check_localization(
     leakage = None
     if not mean_zero:
         if demonstrate_leakage and ball is not None:
-            propagator = DensePropagator(tree, dense_operator(tree, kernel))
+            propagator = DensePropagator(tree, kernel)
             outside = _outside_mask(tree, ball)
             leakage = max(
                 _masked_norm(tree, propagator.schrodinger(v, t, config.hbar), outside)
@@ -633,12 +636,17 @@ def spacetime_product_check(
 
 
 def _wavelet_vector(tree: BallTree, ball_id: str, index: int) -> np.ndarray:
-    basis = build_basis(tree)
-    try:
-        position = basis.labels.index((ball_id, index), 0, basis.size - 1)
-    except ValueError:
-        raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}") from None
-    return basis.wavelets[position].vector
+    """Leaf values of the basis wavelet with ``index`` in ball ``ball_id``."""
+    plan = build_basis(tree).plan
+    (ball,) = tree.positions([ball_id])
+    mine = np.flatnonzero(tree.internal_balls[plan.ball] == ball).tolist()
+    k = next((k for k in mine if plan.index[k] == index), None)
+    if k is None:
+        raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
+    v = np.zeros(tree.n_leaves)
+    v[plan.ball_start[k] : plan.child_start[k]] = plan.pos[k]
+    v[plan.child_start[k] : plan.child_stop[k]] = plan.neg[k]
+    return v
 
 
 # -- CSV artifacts -----------------------------------------------------------

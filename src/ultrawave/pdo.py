@@ -19,12 +19,15 @@ in one root-down sweep, a level of the tree at a time, adding the same
 terms in the same order as the per-ball path sum of ``eigenvalue``, and
 ``Spectrum.for_basis`` is one gather by the basis plan's ball indices.
 
-``dense_operator`` builds the full leaf-by-leaf matrix straight from the
+``dense_operator`` builds the full leaf-by-leaf matrix M straight from the
 pair definition, with no reference to wavelets or the eigenvalue sum.
-``verify_spectrum`` certifies the closed form against the same definition:
-it builds the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1 from
-the pairs into one buffer, compares its eigenvalues with the analytic
-multiset, and takes each wavelet's residual in sqrt(nu) coordinates.
+``symmetric_operator`` builds, from the same pairs and into one buffer,
+the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1, optionally
+plus a real diagonal potential; it is the one dense matrix behind both
+oracles.  ``verify_spectrum`` certifies the closed form with it: it
+compares the eigenvalues of S with the analytic multiset and takes each
+wavelet's residual in sqrt(nu) coordinates.  ``DensePropagator`` in
+:mod:`.evolution` evolves through the eigendecomposition of S.
 """
 
 from __future__ import annotations
@@ -262,16 +265,27 @@ def dense_operator(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     return matrix
 
 
-def symmetrized(tree: BallTree, matrix: np.ndarray) -> np.ndarray:
-    """Conjugate by diag(sqrt(nu)).
+def symmetric_operator(
+    tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None
+) -> np.ndarray:
+    """S = diag(r) (M + diag(potential)) diag(r)^-1 with r = sqrt(nu), from the pairs.
 
-    Maps an operator self-adjoint under the measure-weighted inner product
-    to a symmetric matrix; the output is explicitly symmetrized to absorb
-    last-bit asymmetry.
+    M is :func:`dense_operator`'s matrix and ``potential`` an optional real
+    value per leaf.  The conjugation maps M, self-adjoint under the
+    measure-weighted inner product, to a symmetric matrix with the same
+    eigenvalues: S[x, y] = -T(sup(x, y)) r(x) r(y) off the diagonal, which
+    is bitwise symmetric, and M's diagonal plus the potential on it.  Built
+    in one n-by-n buffer, which is returned.
     """
-    r = np.sqrt(tree.leaf_measures)
-    sym = matrix * (r[:, None] / r[None, :])
-    return 0.5 * (sym + sym.T)
+    nu = tree.leaf_measures
+    r = np.sqrt(nu)
+    sym = _sup_kernel(tree, kernel)
+    diagonal = sym @ nu - sym.diagonal() * nu
+    if potential is not None:
+        diagonal += potential
+    sym *= np.outer(-r, r)
+    np.fill_diagonal(sym, diagonal)
+    return sym
 
 
 @dataclass(frozen=True)
@@ -323,10 +337,9 @@ def verify_spectrum(
     analytic multiset (each ball's eigenvalue repeated once per wavelet,
     plus 0 for the constant).
 
-    Everything runs on one n-by-n buffer, built straight from the pair
-    definition as S = diag(r) M diag(r)^-1 with r = sqrt(nu):
-    S[x, y] = -T(sup(x, y)) r(x) r(y) off the diagonal, which is bitwise
-    symmetric, and M's diagonal on it.  ``eigvalsh(S)`` gives the multiset.
+    Everything runs on one n-by-n buffer, the symmetric matrix
+    S = diag(r) M diag(r)^-1 with r = sqrt(nu) of
+    :func:`symmetric_operator`.  ``eigvalsh(S)`` gives the multiset.
     Scaling S's rows by r then makes row k of ``basis.matrix_times(S)`` the
     vector S phi_k with phi_k = r psi_k, and
     ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
@@ -337,10 +350,7 @@ def verify_spectrum(
         raise ValueError("basis was built for a different tree")
     nu = tree.leaf_measures
     r = np.sqrt(nu)
-    sym = _sup_kernel(tree, kernel)
-    diagonal = sym @ nu - sym.diagonal() * nu
-    sym *= np.outer(-r, r)
-    np.fill_diagonal(sym, diagonal)
+    sym = symmetric_operator(tree, kernel)
     numeric = np.sort(np.linalg.eigvalsh(sym))
     arity = tree.child_count[tree.internal_balls]
     analytic = np.sort(

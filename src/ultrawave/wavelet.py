@@ -23,23 +23,21 @@ log of the arity, not with n.
 The dense oracles work from the same plan.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
 per column of ``y``, without building ``matrix``; ``gram`` is one such
-product.  ``matrix`` and ``Wavelet.vector`` materialize dense vectors
-(``matrix`` is O(n^2) and rebuilt on every access, so hold one reference
-per use); they exist for the transform cross-check and tests.
+product.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
+rebuilt on every access, so hold one reference per use); it exists for the
+transform cross-check and tests.  Wavelet k's ball and index are
+``plan.ball[k]`` and ``plan.index[k]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .ball_tree import BallTree, running_sums
-
-#: Index label of the constant basis element in ``WaveletBasis.labels``.
-CONSTANT_LABEL = "const"
 
 
 @dataclass(frozen=True)
@@ -95,48 +93,16 @@ class TransformPlan:
         return wavelet, leaf, value
 
 
-@dataclass(frozen=True)
-class Wavelet:
-    """One basis element: mean zero, unit norm, supported in ``ball``.
-
-    ``index`` runs from 1 to (children of ball) - 1.  ``vector`` holds real
-    leaf values in canonical leaf order and is constant on each child; it
-    is materialized from the basis plan on every access (O(n)).
-    """
-
-    ball: str
-    index: int
-    _plan: TransformPlan = field(repr=False, compare=False)
-    _position: int = field(repr=False, compare=False)
-
-    @property
-    def vector(self) -> np.ndarray:
-        p, k = self._plan, self._position
-        v = np.zeros(len(p.leaf_node))
-        v[p.ball_start[k] : p.child_start[k]] = p.pos[k]
-        v[p.child_start[k] : p.child_stop[k]] = p.neg[k]
-        v.flags.writeable = False
-        return v
-
-
 class WaveletBasis:
     """Orthonormal basis of leaf functions: wavelets plus the constant.
 
     The basis is ordered by internal ball in depth-first order, then by
-    wavelet index, with the constant element last.  ``labels`` mirrors that
-    order as ``(ball_id, index)`` pairs, the constant labelled
-    ``(root_id, "const")``.
+    wavelet index, with the constant element last.
     """
 
     def __init__(self, tree: BallTree, plan: TransformPlan):
         self.tree = tree
         self.plan = plan
-
-    @cached_property
-    def labels(self) -> tuple[tuple[str, int | str], ...]:
-        tree, plan = self.tree, self.plan
-        balls = tree.ids_of(tree.internal_balls[plan.ball]).tolist()
-        return tuple(zip(balls, plan.index.tolist())) + ((tree.root, CONSTANT_LABEL),)
 
     @property
     def size(self) -> int:
@@ -148,13 +114,6 @@ class WaveletBasis:
         v = np.full(self.tree.n_leaves, self.plan.constant)
         v.flags.writeable = False
         return v
-
-    @cached_property
-    def wavelets(self) -> tuple[Wavelet, ...]:
-        return tuple(
-            Wavelet(ball, index, self.plan, k)
-            for k, (ball, index) in enumerate(self.labels[:-1])
-        )
 
     @property
     def matrix(self) -> np.ndarray:

@@ -50,7 +50,7 @@ def test_criterion_1_eigenbasis_certificate():
         worst_gram = max(
             worst_gram, float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
         )
-        count_ok = count_ok and len(basis.wavelets) + 1 == tree.n_leaves
+        count_ok = count_ok and basis.size == tree.n_leaves
     elapsed = time.perf_counter() - start
     passed = worst_gram <= 1e-10 and count_ok and elapsed < 60
     _line(

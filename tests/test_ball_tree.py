@@ -249,8 +249,9 @@ def test_ball_support_single_leaf(binary_tree):
 
 def test_ball_support_wavelet_is_its_ball(binary_tree):
     basis = uw.build_basis(binary_tree)
-    for wavelet in basis.wavelets:
-        assert binary_tree.ball_support(wavelet.vector) == wavelet.ball
+    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    for ball, wavelet in zip(balls, basis.matrix):
+        assert binary_tree.ball_support(wavelet) == ball
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -327,8 +327,8 @@ def test_evolve_deterministic_output(tree_file, kernel_file, tmp_path):
 
 def test_evolve_wavelet_norm_is_constant(tree_file, kernel_file, tmp_path):
     tree = uw.build_tree(uw.padic_preset(2, 2, 1.0))
-    wavelet = uw.build_basis(tree).wavelets[1]  # eigenvalue 1.5
-    initial = _write_initial(tmp_path, wavelet.vector)
+    basis = uw.build_basis(tree)
+    initial = _write_initial(tmp_path, basis.matrix[1])  # eigenvalue 1.5
     out = tmp_path / "out"
     rc = main(
         [
@@ -343,13 +343,12 @@ def test_evolve_wavelet_norm_is_constant(tree_file, kernel_file, tmp_path):
     for row in rows:
         assert abs(float(row["norm"]) - 1.0) <= 1e-10
         assert float(row["outside_mass"]) <= 1e-12
-        assert row["support_ball"] == wavelet.ball
+        assert row["support_ball"] == tree.internal[basis.plan.ball[1]]
 
 
 def test_evolve_heat_norm_decay(tree_file, kernel_file, tmp_path):
     tree = uw.build_tree(uw.padic_preset(2, 2, 1.0))
-    wavelet = uw.build_basis(tree).wavelets[1]
-    initial = _write_initial(tmp_path, wavelet.vector)
+    initial = _write_initial(tmp_path, uw.build_basis(tree).matrix[1])
     out = tmp_path / "out"
     rc = main(
         [
@@ -488,6 +487,23 @@ def test_evolve_rejects_non_finite_potential(tree_file, kernel_file, tmp_path, c
     )
     assert rc == 2
     assert "leaf 'r.1.1' is not finite" in capsys.readouterr().err
+
+
+def test_evolve_rejects_a_complex_potential(tree_file, kernel_file, tmp_path, capsys):
+    initial = _write_initial(tmp_path, [1.0, -1.0, 0.0, 0.0])
+    (tmp_path / "u").mkdir()
+    potential = _write_initial(tmp_path / "u", [0.5, -0.25, 1.0 + 1e-3j, 0.0])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(initial), "--mode", "potential", "--potential", str(potential),
+            "--times", "0,1", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: potential must be real-valued\n"
+    assert not out.exists()
 
 
 def test_evolve_nan_support_threshold_is_usage_error(tree_file, kernel_file, tmp_path, capsys):

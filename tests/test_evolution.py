@@ -37,8 +37,8 @@ def test_time_zero_is_identity(binary_tree, binary_kernel):
 
 def test_single_wavelet_picks_up_pure_phase(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
-    wavelet = basis.wavelets[1]  # ball r.0, eigenvalue 1.5
-    packet = _packet(binary_tree, binary_kernel, wavelet.vector)
+    wavelet = basis.matrix[1]  # ball r.0, eigenvalue 1.5
+    packet = _packet(binary_tree, binary_kernel, wavelet)
     t = 0.73
     (state,) = uw.evolve_schrodinger(packet, uw.EvolutionConfig(times=(t,)))
     coeff = state.coefficients[1]
@@ -51,15 +51,15 @@ def test_single_wavelet_picks_up_pure_phase(binary_tree, binary_kernel):
 
 def test_phase_period_returns_initial_state(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
-    packet = _packet(binary_tree, binary_kernel, basis.wavelets[1].vector)
+    packet = _packet(binary_tree, binary_kernel, basis.matrix[1])
     period = 2.0 * np.pi / 1.5
     (state,) = uw.evolve_schrodinger(packet, uw.EvolutionConfig(times=(period,)))
     assert np.max(np.abs(state.coefficients - packet.coefficients)) <= 1e-10
     # dense-propagator cross-check at the same time
-    dense_state = uw.DensePropagator(
-        binary_tree, uw.dense_operator(binary_tree, binary_kernel)
-    ).schrodinger(basis.wavelets[1].vector, period)
-    assert binary_tree.norm(dense_state - basis.wavelets[1].vector) <= 1e-10
+    dense_state = uw.DensePropagator(binary_tree, binary_kernel).schrodinger(
+        basis.matrix[1], period
+    )
+    assert binary_tree.norm(dense_state - basis.matrix[1]) <= 1e-10
 
 
 def test_unitarity_and_group_law_fuzzed():
@@ -116,13 +116,13 @@ def test_heat_time_zero_identity(binary_tree, binary_kernel):
 
 def test_heat_single_wavelet_decay(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
-    packet = _packet(binary_tree, binary_kernel, basis.wavelets[1].vector)
+    packet = _packet(binary_tree, binary_kernel, basis.matrix[1])
     (state,) = uw.evolve_heat(packet, [1.0])
     # scalar exponential with eigenvalue 1.5
     assert state.coefficients[1] == pytest.approx(0.22313016014842982, rel=1e-12)
     # independent oracle: dense matrix exponential
     matrix = uw.dense_operator(binary_tree, binary_kernel)
-    oracle = expm(-matrix) @ basis.wavelets[1].vector
+    oracle = expm(-matrix) @ basis.matrix[1]
     assert binary_tree.norm(state.leaf_values() - oracle) <= 1e-8
 
 
@@ -232,7 +232,7 @@ def test_dense_propagator_matches_expm():
     tree = random_tree(rng, min_leaves=4, max_leaves=24)
     kernel = random_kernel(rng, tree)
     matrix = uw.dense_operator(tree, kernel)
-    propagator = uw.DensePropagator(tree, matrix)
+    propagator = uw.DensePropagator(tree, kernel)
     values = random_leaf_values(rng, tree)
     for t in (0.4, 2.9):
         via_eigh = propagator.schrodinger(values, t)
@@ -250,9 +250,9 @@ def test_real_matvec_matches_the_complex_product():
 class _CountingDense(uw.DensePropagator):
     built = 0
 
-    def __init__(self, tree, matrix):
+    def __init__(self, tree, kernel, potential=None):
         type(self).built += 1
-        super().__init__(tree, matrix)
+        super().__init__(tree, kernel, potential)
 
 
 @pytest.fixture
@@ -362,6 +362,20 @@ def test_stiff_potential_evolution_takes_the_dense_route(dense_builds):
     )
     assert dense_builds.built == 1
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 1.0), values)
+
+
+def test_dense_route_takes_a_tiny_hbar(dense_builds):
+    # U / hbar**2 overflows here; H / hbar = hbar * operator + U / hbar does not
+    tree, kernel, values, potential = _stiff_instance()
+    hbar = 1e-160
+    times = (5 * hbar, -2 * hbar)
+    states = uw.evolve_with_potential(
+        values, potential, tree, kernel, uw.EvolutionConfig(times=times, hbar=hbar)
+    )
+    assert dense_builds.built == 1
+    # hbar * t * operator is far below rounding: only the potential's phase is left
+    want = [np.exp(-1j * potential * (t / hbar)) * values for t in times]
+    _assert_close(tree, states, want, values)
 
 
 def test_lanczos_is_accurate_on_the_stiff_side_too():
@@ -569,15 +583,15 @@ def test_localization_rejects_non_finite_values(binary_tree, binary_kernel, bad)
 
 def test_wavelet_stays_in_its_ball(binary_tree, binary_kernel):
     basis = uw.build_basis(binary_tree)
-    wavelet = basis.wavelets[1]
+    wavelet = basis.matrix[1]
     report = uw.check_localization(
-        wavelet.vector,
+        wavelet,
         binary_tree,
         binary_kernel,
         uw.EvolutionConfig(times=(0.0, 0.7, 3.1, 9.9)),
     )
     assert report.passed and report.mean_zero
-    assert report.support_ball == wavelet.ball
+    assert report.support_ball == binary_tree.internal[basis.plan.ball[1]] == "r.0"
     assert all(s.outside_mass == 0.0 for s in report.samples)
     assert all(s.mean_abs <= 1e-12 for s in report.samples)
 
@@ -590,7 +604,7 @@ def test_two_leaf_difference_stays_in_level_one_ball(binary_tree, binary_kernel)
     assert report.passed
     assert report.support_ball == "r.0"
     # dense propagator agrees that nothing leaks
-    propagator = uw.DensePropagator(binary_tree, uw.dense_operator(binary_tree, binary_kernel))
+    propagator = uw.DensePropagator(binary_tree, binary_kernel)
     for t in (0.5, 2.0, 7.7):
         state = propagator.schrodinger(values, t)
         assert np.max(np.abs(state[2:])) <= 1e-12
@@ -656,9 +670,9 @@ def test_perturbed_product_residual_scales_linearly(binary_tree, binary_kernel):
     matrix = uw.dense_operator(binary_tree, binary_kernel)
     lam_x = spec.eigenvalues["r.0"]
     lam_t = spec.eigenvalues["r.0"]
-    psi = np.outer(basis.wavelets[1].vector, basis.wavelets[1].vector)
+    psi = np.outer(basis.matrix[1], basis.matrix[1])
     # different eigenvalue ratio, so the balance operator does not kill it
-    phi = np.outer(basis.wavelets[0].vector, basis.wavelets[1].vector)
+    phi = np.outer(basis.matrix[0], basis.matrix[1])
 
     def residual(grid):
         value = (grid @ matrix.T) / lam_t - (matrix @ grid) / lam_x

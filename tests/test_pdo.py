@@ -12,7 +12,19 @@ from ultrawave.certify import (
     random_kernel,
     random_tree,
 )
-from ultrawave.pdo import read_spectrum, symmetrized, write_spectrum
+from ultrawave.pdo import read_spectrum, symmetric_operator, write_spectrum
+
+
+def symmetrized(tree, matrix: np.ndarray) -> np.ndarray:
+    """Conjugate by diag(sqrt(nu)).
+
+    Maps an operator self-adjoint under the measure-weighted inner product
+    to a symmetric matrix; the output is explicitly symmetrized to absorb
+    last-bit asymmetry.
+    """
+    r = np.sqrt(tree.leaf_measures)
+    sym = matrix * (r[:, None] / r[None, :])
+    return 0.5 * (sym + sym.T)
 
 
 def test_root_eigenvalue_has_empty_ancestor_sum():
@@ -87,9 +99,10 @@ def test_dense_eigenrelation(binary_tree, binary_kernel):
     matrix = uw.dense_operator(binary_tree, binary_kernel)
     basis = uw.build_basis(binary_tree)
     spec = uw.spectrum(binary_tree, binary_kernel)
-    for wavelet in basis.wavelets:
-        lam = spec.eigenvalues[wavelet.ball]
-        residual = binary_tree.norm(matrix @ wavelet.vector - lam * wavelet.vector)
+    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    for ball, wavelet in zip(balls, basis.matrix):
+        lam = spec.eigenvalues[ball]
+        residual = binary_tree.norm(matrix @ wavelet - lam * wavelet)
         assert residual <= 1e-10 * max(1.0, lam)
 
 
@@ -128,6 +141,21 @@ def test_dense_matrix_invariants_fuzzed():
         assert all(v >= 0.0 for v in spec.eigenvalues.values())
 
 
+def test_symmetric_operator_matches_the_symmetrized_dense_operator_fuzzed():
+    for seed in range(8):
+        rng = np.random.default_rng([17, seed])
+        tree = random_tree(rng, min_leaves=2, max_leaves=120, max_children=6)
+        kernel = random_kernel(rng, tree)
+        potential = rng.uniform(-5.0, 5.0, tree.n_leaves)
+        dense = uw.dense_operator(tree, kernel)
+        for u in (None, potential):
+            sym = symmetric_operator(tree, kernel, u)
+            np.testing.assert_array_equal(sym, sym.T)
+            reference = symmetrized(tree, dense if u is None else dense + np.diag(u))
+            scale = np.linalg.norm(reference, 2)
+            assert np.max(np.abs(sym - reference)) <= 1e-14 * scale
+
+
 def test_rank_counts_zero_kernel_multiplicities():
     tree = uw.build_tree(uw.padic_preset(2, 2, 1.0))
     kernel = uw.make_kernel(tree, {"r": 0.0, "r.0": 1.0, "r.1": 1.0})
@@ -152,7 +180,7 @@ def test_spectrum_invariant_under_basis_rotation():
     lam = uw.eigenvalue(tree, kernel, "r")
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    rotated = q @ np.vstack([w.vector for w in basis.wavelets])
+    rotated = q @ basis.matrix[:-1]
     for row in rotated:
         assert tree.norm(matrix @ row - lam * row) <= 1e-12 * max(1.0, lam)
 

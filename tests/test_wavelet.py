@@ -31,16 +31,16 @@ def test_equal_masses_give_haar_pair():
     # mean zero a/2 + b/2 = 0 and norm a^2/2 + b^2/2 = 1 with a > 0
     # solve by hand: a = 1, b = -1
     basis = uw.build_basis(_two_leaf_tree(0.5, 0.5))
-    (wavelet,) = basis.wavelets
-    np.testing.assert_allclose(wavelet.vector, [1.0, -1.0], rtol=0, atol=0)
+    (wavelet, _) = basis.matrix
+    np.testing.assert_allclose(wavelet, [1.0, -1.0], rtol=0, atol=0)
 
 
 def test_unequal_masses_frozen_values(lopsided_tree):
     # a/3 + 2b/3 = 0, a^2/3 + 2 b^2/3 = 1, a > 0  =>  a = sqrt(2), b = -1/sqrt(2)
     basis = uw.build_basis(lopsided_tree)
-    (wavelet,) = basis.wavelets
+    (wavelet, _) = basis.matrix
     np.testing.assert_allclose(
-        wavelet.vector, [math.sqrt(2.0), -1.0 / math.sqrt(2.0)], rtol=1e-15
+        wavelet, [math.sqrt(2.0), -1.0 / math.sqrt(2.0)], rtol=1e-15
     )
 
 
@@ -51,32 +51,30 @@ def test_unequal_masses_frozen_values(lopsided_tree):
 )
 def test_pair_wavelet_constraints(m1, m2):
     tree = _two_leaf_tree(m1, m2)
-    (wavelet,) = uw.build_basis(tree).wavelets
-    assert wavelet.vector[0] > 0 > wavelet.vector[1]
-    assert abs(uw.mean(tree, wavelet.vector)) <= 1e-12 * tree.total_measure * max(
-        abs(wavelet.vector)
+    (wavelet, _) = uw.build_basis(tree).matrix
+    assert wavelet[0] > 0 > wavelet[1]
+    assert abs(uw.mean(tree, wavelet)) <= 1e-12 * tree.total_measure * max(
+        abs(wavelet)
     )
-    assert tree.norm(wavelet.vector) == pytest.approx(1.0, abs=1e-12)
+    assert tree.norm(wavelet) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ternary_ball_spans_mean_zero_space():
     tree = uw.build_tree(uw.padic_preset(3, 1, 1.0))
     basis = uw.build_basis(tree)
-    assert len(basis.wavelets) == 2  # dim = children - 1
+    assert basis.size - 1 == 2  # dim = children - 1
     gram = basis.gram()
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-14)
-    for wavelet in basis.wavelets:
-        assert abs(uw.mean(tree, wavelet.vector)) < 1e-14
+    for wavelet in basis.matrix[:-1]:
+        assert abs(uw.mean(tree, wavelet)) < 1e-14
 
 
 def test_basis_ordering(binary_tree):
     basis = uw.build_basis(binary_tree)
-    assert basis.labels == (
-        ("r", 1),
-        ("r.0", 1),
-        ("r.1", 1),
-        ("r", "const"),
-    )
+    plan = basis.plan
+    balls = binary_tree.ids_of(binary_tree.internal_balls[plan.ball]).tolist()
+    assert list(zip(balls, plan.index.tolist())) == [("r", 1), ("r.0", 1), ("r.1", 1)]
+    assert basis.size == 4  # the constant comes last
 
 
 def test_constant_element_value(binary_tree):
@@ -92,7 +90,7 @@ def test_count_identity_exact(seed):
     tree = random_tree(np.random.default_rng(seed), min_leaves=2, max_leaves=80)
     basis = uw.build_basis(tree)
     per_ball = sum(tree.child_count[tree.index(b)] - 1 for b in tree.internal)
-    assert len(basis.wavelets) == per_ball == tree.n_leaves - 1
+    assert basis.size - 1 == per_ball == tree.n_leaves - 1
     assert basis.size == tree.n_leaves
 
 
@@ -107,8 +105,8 @@ def test_gram_identity_on_fuzzed_trees():
 
 def test_analyze_wavelet_gives_unit_vector(binary_tree):
     basis = uw.build_basis(binary_tree)
-    for k, wavelet in enumerate(basis.wavelets):
-        coeffs = basis.analyze(wavelet.vector)
+    for k, wavelet in enumerate(basis.matrix[:-1]):
+        coeffs = basis.analyze(wavelet)
         expected = np.zeros(basis.size)
         expected[k] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-14)
@@ -138,13 +136,13 @@ def test_synthesize_zero_and_unit(binary_tree):
     np.testing.assert_array_equal(basis.synthesize(np.zeros(4)), np.zeros(4))
     unit = np.zeros(4)
     unit[1] = 1.0
-    np.testing.assert_allclose(basis.synthesize(unit), basis.wavelets[1].vector, rtol=0)
+    np.testing.assert_allclose(basis.synthesize(unit), basis.matrix[1], rtol=0)
 
 
 def test_mean_examples(binary_tree):
     basis = uw.build_basis(binary_tree)
-    for wavelet in basis.wavelets:
-        assert abs(uw.mean(binary_tree, wavelet.vector)) <= 1e-12
+    for wavelet in basis.matrix[:-1]:
+        assert abs(uw.mean(binary_tree, wavelet)) <= 1e-12
     assert uw.mean(binary_tree, np.full(4, 2.5)) == pytest.approx(2.5, abs=1e-14)
     indicator = np.zeros(4)
     indicator[3] = 1.0
@@ -194,25 +192,27 @@ def test_wavelet_orthogonal_to_outer_indicators():
     rng = np.random.default_rng(11)
     tree = random_tree(rng, min_leaves=8, max_leaves=40, min_depth=2)
     basis = uw.build_basis(tree)
-    for wavelet in basis.wavelets:
-        scale = max(abs(wavelet.vector))
+    balls = tree.ids_of(tree.internal_balls[basis.plan.ball]).tolist()
+    for ball, wavelet in zip(balls, basis.matrix):
+        scale = max(abs(wavelet))
         for ball_id in tree.order:
-            inside = _contains(tree, wavelet.ball, ball_id)
-            covers = _contains(tree, ball_id, wavelet.ball)
+            inside = _contains(tree, ball, ball_id)
+            covers = _contains(tree, ball_id, ball)
             disjoint = not inside and not covers
             if covers or disjoint:
                 indicator = np.zeros(tree.n_leaves)
                 indicator[tree.leaf_slice(ball_id)] = 1.0
-                overlap = abs(tree.inner(indicator, wavelet.vector))
+                overlap = abs(tree.inner(indicator, wavelet))
                 assert overlap <= 1e-12 * tree.total_measure * scale
 
 
 def test_wavelets_constant_on_children():
     tree = random_tree(np.random.default_rng(5), min_leaves=10, max_leaves=60)
     basis = uw.build_basis(tree)
-    for wavelet in basis.wavelets:
-        for child in _children(tree, wavelet.ball):
-            block = wavelet.vector[tree.leaf_slice(child)]
+    balls = tree.ids_of(tree.internal_balls[basis.plan.ball]).tolist()
+    for ball, wavelet in zip(balls, basis.matrix):
+        for child in _children(tree, ball):
+            block = wavelet[tree.leaf_slice(child)]
             assert np.ptp(block) == 0.0  # exactly constant
 
 
@@ -238,7 +238,7 @@ def test_single_ball_tree_has_only_the_constant():
         TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),))
     )
     basis = uw.build_basis(tree)
-    assert basis.wavelets == ()
+    assert basis.plan.ball.size == 0
     assert basis.size == 1
     np.testing.assert_allclose(basis.constant, 0.5, rtol=1e-15)
     coeffs = basis.analyze(np.array([3.0]))
@@ -250,7 +250,7 @@ def test_basis_matrix_is_read_only(binary_tree):
     with pytest.raises(ValueError):
         basis.matrix[0, 0] = 5.0
     with pytest.raises(ValueError):
-        basis.wavelets[0].vector[0] = 5.0
+        basis.constant[0] = 5.0
 
 
 # -- fast transforms against the dense materialization ---------------------------
