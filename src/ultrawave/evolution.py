@@ -10,10 +10,12 @@ dense propagator, how a packet with nonzero mean leaks out.
 
 A real potential U couples the wavelets, so ``evolve_with_potential``
 applies exp(-i t H / hbar) as a Chebyshev expansion (``chebyshev_expm``):
-the product H f = hbar**2 * synthesize(lambda * analyze f) + U f costs
-O(n), and the expansion, on the operator shifted to a spectrum centred on
-0, needs about half the spectral width of H / hbar times the largest |t|
-products, shared by all sample times.  That width is bounded a priori by
+the product (H / hbar) f = hbar * M f + U f / hbar takes M f from
+:func:`~.pdo.pair_matvec` on the kernel times hbar, matrix-free from the
+pair definition in O(n) and with no wavelet basis, and the expansion, on
+the operator shifted to a spectrum centred on 0, needs about half the
+spectral width of H / hbar times the largest |t| products, shared by all
+sample times.  That width is bounded a priori by
 hbar * max(lambda) + (max U - min U) / hbar.  The dense eigendecomposition
 costs O(n**3) whatever the width, so it is used instead when that bound
 times the largest |t| exceeds a measured 1.5e-3 * n**2, on trees of at
@@ -25,7 +27,10 @@ symmetric form that :func:`~.pdo.symmetric_operator` builds from the pair
 definition, with no reference to wavelets; it is the cross-check route for
 everything above and the potential route for small or stiff problems.  On
 that route it is built for H / hbar, from the kernel times hbar and the
-potential U / hbar, so the state at time t is ``schrodinger(v, t)``.
+potential U / hbar, so the state at time t is ``schrodinger(v, t)``.  The
+symmetric matrix goes to ``eigh`` as its transpose, the same values in
+the column-major order LAPACK reads, so numpy's copy into LAPACK's buffer
+is contiguous.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 
 from .artifacts import csv_fields, write_csv
 from .ball_tree import BallTree, BallValues, _require_finite
-from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, symmetric_operator
+from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, pair_matvec, symmetric_operator
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
 
@@ -156,8 +161,9 @@ class DensePropagator:
     def __init__(self, tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None):
         self.tree = tree
         self._root_weights = np.sqrt(tree.leaf_measures)
+        # S is bitwise symmetric, so S.T holds S in the column-major order LAPACK reads
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(
-            symmetric_operator(tree, kernel, potential)
+            symmetric_operator(tree, kernel, potential).T
         )
 
     def expm_apply(self, values, scale: complex) -> np.ndarray:
@@ -202,10 +208,9 @@ def evolve_with_potential(
         # H / hbar = hbar * operator + U / hbar, scaled as on the Chebyshev route:
         # its spectrum lies in [low, high], checked finite above, while
         # U / hbar**2 would overflow for hbar below about 1e-154
-        scaled = SupKernel(BallValues(tree, config.hbar * kernel.values.array))
-        propagator = DensePropagator(tree, scaled, u / config.hbar)
+        propagator = DensePropagator(tree, _scaled(tree, kernel, config.hbar), u / config.hbar)
         return [propagator.schrodinger(v, t) for t in config.times]
-    return _chebyshev_route(tree, spec, v, u, config)
+    return _chebyshev_route(tree, kernel, spec, v, u, config)
 
 
 def chebyshev_evolve_with_potential(
@@ -218,15 +223,24 @@ def chebyshev_evolve_with_potential(
     there.
     """
     v, u = _potential_inputs(tree, values, potential)
-    return _chebyshev_route(tree, build_spectrum(tree, kernel), v, u, config)
+    return _chebyshev_route(tree, kernel, build_spectrum(tree, kernel), v, u, config)
+
+
+def _scaled(tree: BallTree, kernel: SupKernel, hbar: float) -> SupKernel:
+    """The kernel times hbar, whose operator is hbar times the kernel's."""
+    return SupKernel(BallValues(tree, hbar * kernel.values.array))
 
 
 def _chebyshev_route(
-    tree: BallTree, spec: Spectrum, v: np.ndarray, u: np.ndarray, config: EvolutionConfig
+    tree: BallTree,
+    kernel: SupKernel,
+    spec: Spectrum,
+    v: np.ndarray,
+    u: np.ndarray,
+    config: EvolutionConfig,
 ) -> list[np.ndarray]:
     hbar = config.hbar
-    basis = build_basis(tree)
-    lam = hbar * spec.for_basis(basis)
+    product = pair_matvec(tree, _scaled(tree, kernel, hbar))
     # the expansion runs on H / hbar - centre, whose spectrum lies in
     # [-half_width, half_width]; the centre comes back as a phase
     low, high = _spectral_bounds(spec.for_tree(tree), u, hbar)
@@ -234,7 +248,7 @@ def _chebyshev_route(
     shift = u / hbar - centre
 
     def matvec(f: np.ndarray) -> np.ndarray:
-        return basis.synthesize(lam * basis.analyze(f)) + shift * f
+        return product(f) + shift * f
 
     states = chebyshev_expm(matvec, v, config.times, (high - low) / 2)
     return [np.exp(-1j * centre * t) * f for f, t in zip(states, config.times)]
@@ -329,15 +343,15 @@ def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[
     start = np.asarray(start, dtype=complex)
     expansions = [_chebyshev_coefficients(h * t) for t in times]
     degree = max((c.size for c in expansions), default=1) - 1
-    table = np.zeros((len(times), degree + 1), dtype=complex)
-    for row, c in zip(table, expansions):
-        row[: c.size] = c
     states = np.zeros((len(times), start.size), dtype=complex)
     # T_k(A / h) start sits in row k % rows; rows >= 3 whenever the block
     # wraps, so rows j - 1 and j - 2 (negative indices wrap too) still hold
     # T_{k-1} and T_{k-2}
     rows = min(_CHEBYSHEV_BLOCK, degree + 1)
     block = np.empty((rows, start.size), dtype=complex)
+    # the coefficients of the block's degrees, one row per time (zero past
+    # a time's own degree)
+    chunk = np.empty((len(times), rows), dtype=complex)
     for k in range(degree + 1):
         j = k % rows
         if k == 0:
@@ -348,7 +362,11 @@ def chebyshev_expm(matvec, start: np.ndarray, times, half_width: float) -> list[
             np.multiply(matvec(block[j - 1]), 2 / h, out=block[j])
             block[j] -= block[j - 2]
         if j == rows - 1 or k == degree:
-            states += table[:, k - j : k + 1] @ block[: j + 1]
+            for row, c in zip(chunk, expansions):
+                part = c[k - j : k + 1]
+                row[: part.size] = part
+                row[part.size :] = 0
+            states += chunk[:, : j + 1] @ block[: j + 1]
     return list(states)
 
 
@@ -359,12 +377,16 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     K is the least degree whose discarded tail has sum |c_k| <= ``_KRYLOV_TOL``.
     """
     j = bessel_j(abs(x), _negligible_order(abs(x)))
-    magnitude = 2 * np.abs(j)
-    magnitude[0] = abs(j[0])
-    tail = np.cumsum(magnitude[::-1])[::-1]
+    # |c_k|, then in place the sum of |c_k| from k up
+    tail = np.abs(j)
+    tail[1:] *= 2
+    np.cumsum(tail[::-1], out=tail[::-1])
     degree = int(np.count_nonzero(tail > _KRYLOV_TOL)) - 1
-    phase = np.array([1, -1j, -1, 1j]) if x >= 0 else np.array([1, 1j, -1, -1j])
-    c = 2 * j[: degree + 1] * np.resize(phase, degree + 1)
+    del tail
+    phase = (2, -2j, -2, 2j) if x >= 0 else (2, 2j, -2, -2j)
+    c = np.empty(degree + 1, dtype=complex)
+    for k in range(min(4, degree + 1)):
+        np.multiply(j[k : degree + 1 : 4], phase[k], out=c[k::4])
     c[0] = j[0]
     return c
 

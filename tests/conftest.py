@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import ultrawave as uw
@@ -27,3 +28,39 @@ def lopsided_tree():
         leaf_measures={"a": 1.0 / 3.0, "b": 2.0 / 3.0},
     )
     return uw.build_tree(spec)
+
+
+def _caterpillar(n):
+    """n leaves, one off each ball of a spine of depth n - 1."""
+    balls = [uw.BallSpec("s0", None, 1.0)]
+    for i in range(n - 1):
+        diameter = 1 / (i + 2)
+        balls += [
+            uw.BallSpec(f"l{i}", f"s{i}", diameter),
+            uw.BallSpec(f"s{i + 1}", f"s{i}", diameter),
+        ]
+    leaves = [f"l{i}" for i in range(n - 1)] + [f"s{n - 1}"]
+    measures = np.random.default_rng(n).uniform(0.5, 2.0, n)
+    spec = uw.TreeSpec(balls=tuple(balls), leaf_measures=dict(zip(leaves, measures)))
+    return uw.build_tree(spec)
+
+
+def _star(n):
+    """n leaves, all children of the root."""
+    balls = [uw.BallSpec("r", None, 1.0)] + [uw.BallSpec(f"x{i}", "r", 0.5) for i in range(n)]
+    measures = np.random.default_rng(n).uniform(0.5, 2.0, n) / n
+    return uw.build_tree(
+        uw.TreeSpec(balls=tuple(balls), leaf_measures={f"x{i}": m for i, m in enumerate(measures)})
+    )
+
+
+@pytest.fixture
+def caterpillar():
+    """Builds the n-leaf caterpillar tree: ``caterpillar(n)``."""
+    return _caterpillar
+
+
+@pytest.fixture
+def star():
+    """Builds the tree of n leaves under the root: ``star(n)``."""
+    return _star

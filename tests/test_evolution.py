@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,32 +445,9 @@ def _counting_products(monkeypatch):
     return products
 
 
-def _caterpillar(n):
-    """n leaves, one off each ball of a spine of depth n - 1."""
-    balls = [uw.BallSpec("s0", None, 1.0)]
-    for i in range(n - 1):
-        diameter = 1 / (i + 2)
-        balls += [
-            uw.BallSpec(f"l{i}", f"s{i}", diameter),
-            uw.BallSpec(f"s{i + 1}", f"s{i}", diameter),
-        ]
-    leaves = [f"l{i}" for i in range(n - 1)] + [f"s{n - 1}"]
-    measures = np.random.default_rng(n).uniform(0.5, 2.0, n)
-    spec = uw.TreeSpec(balls=tuple(balls), leaf_measures=dict(zip(leaves, measures)))
-    return uw.build_tree(spec)
-
-
-def _star(n):
-    balls = [uw.BallSpec("r", None, 1.0)] + [uw.BallSpec(f"x{i}", "r", 0.5) for i in range(n)]
-    measures = np.random.default_rng(n).uniform(0.5, 2.0, n) / n
-    return uw.build_tree(
-        uw.TreeSpec(balls=tuple(balls), leaf_measures={f"x{i}": m for i, m in enumerate(measures)})
-    )
-
-
 @pytest.mark.parametrize("shape", ["caterpillar", "star"])
-def test_chebyshev_on_adversarial_shapes_matches_expm(shape):
-    tree = _caterpillar(120) if shape == "caterpillar" else _star(1000)
+def test_chebyshev_on_adversarial_shapes_matches_expm(shape, caterpillar, star):
+    tree = caterpillar(120) if shape == "caterpillar" else star(1000)
     rng = np.random.default_rng(36)
     kernel = random_kernel(rng, tree)
     values = random_leaf_values(rng, tree)
@@ -478,6 +456,20 @@ def test_chebyshev_on_adversarial_shapes_matches_expm(shape):
     config = uw.EvolutionConfig(times=times, hbar=0.8)
     states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     _assert_close(tree, states, _expm_states(tree, kernel, values, potential, times, 0.8), values)
+
+
+@pytest.mark.parametrize("shape", ["caterpillar", "star"])
+def test_chebyshev_on_adversarial_shapes_matches_the_dense_propagator(shape, caterpillar, star):
+    tree = caterpillar(512) if shape == "caterpillar" else star(1000)
+    rng = np.random.default_rng(40)
+    kernel = random_kernel(rng, tree)
+    values = random_leaf_values(rng, tree)
+    potential = rng.uniform(-2.0, 2.0, tree.n_leaves)
+    times = (1.5, -0.4)
+    config = uw.EvolutionConfig(times=times)
+    states = chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
+    dense = uw.DensePropagator(tree, kernel, potential)
+    _assert_close(tree, states, [dense.schrodinger(values, t) for t in times], values)
 
 
 def test_chebyshev_of_zero_width_is_a_pure_phase(monkeypatch, binary_tree):
@@ -520,6 +512,33 @@ def test_chebyshev_product_count_on_the_512_leaf_tree(monkeypatch):
     config = uw.EvolutionConfig(times=(0.0, 0.5, 1.0, -2.0))
     chebyshev_evolve_with_potential(values, potential, tree, kernel, config)
     assert len(products) == 76
+
+
+def test_chebyshev_expm_holds_no_table_of_all_coefficients():
+    # A = I / 2 with half-width 1, so exp(-i t A) is the phase exp(-i t / 2)
+    times = (1e5, -0.9e5, 0.5e5)
+    sizes = [evolution._chebyshev_coefficients(t).nbytes for t in times]
+    table = len(times) * max(sizes)
+    peaks = []
+
+    def matvec(g):
+        # every coefficient is computed before the first product
+        if not peaks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return 0.5 * g
+
+    start = np.array([1.0, -2.0j, 0.5])
+    tracemalloc.start()
+    try:
+        states = chebyshev_expm(matvec, start, times, 1.0)
+    finally:
+        tracemalloc.stop()
+    # each time's coefficients and one time's working arrays; a
+    # len(times) x degree table beside them would add about ``table``
+    assert peaks[0] <= sum(sizes) + 0.5 * table
+    for state, t in zip(states, times):
+        np.testing.assert_allclose(state, np.exp(-0.5j * t) * start, rtol=0, atol=1e-11)
 
 
 def test_chebyshev_expm_rejects_non_finite_input_before_any_product():

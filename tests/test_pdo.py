@@ -11,8 +11,9 @@ from ultrawave.certify import (
     corrupt_spectrum,
     random_kernel,
     random_tree,
+    random_tree_spec,
 )
-from ultrawave.pdo import read_spectrum, symmetric_operator, write_spectrum
+from ultrawave.pdo import pair_matvec, read_spectrum, symmetric_operator, write_spectrum
 
 
 def symmetrized(tree, matrix: np.ndarray) -> np.ndarray:
@@ -154,6 +155,36 @@ def test_symmetric_operator_matches_the_symmetrized_dense_operator_fuzzed():
             reference = symmetrized(tree, dense if u is None else dense + np.diag(u))
             scale = np.linalg.norm(reference, 2)
             assert np.max(np.abs(sym - reference)) <= 1e-14 * scale
+
+
+def _assert_pair_matvec_matches_dense(tree, kernel, rng):
+    f = rng.standard_normal(tree.n_leaves) + 1j * rng.standard_normal(tree.n_leaves)
+    matrix = uw.dense_operator(tree, kernel)
+    error = np.linalg.norm(pair_matvec(tree, kernel)(f) - matrix @ f)
+    assert error <= 1e-14 * np.linalg.norm(matrix, 2) * np.linalg.norm(f)
+
+
+def test_pair_matvec_matches_the_dense_operator_fuzzed():
+    for seed in range(8):
+        rng = np.random.default_rng([19, seed])
+        tree = random_tree(rng, min_leaves=2, max_leaves=300, max_children=8)
+        _assert_pair_matvec_matches_dense(tree, random_kernel(rng, tree), rng)
+
+
+def test_pair_matvec_on_adversarial_shapes(caterpillar, star):
+    rng = np.random.default_rng(20)
+    one_leaf = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),)))
+    for tree in (caterpillar(512), star(1000), one_leaf):
+        _assert_pair_matvec_matches_dense(tree, random_kernel(rng, tree), rng)
+
+
+def test_pair_matvec_with_measures_over_thirty_decades():
+    for seed in range(4):
+        rng = np.random.default_rng([21, seed])
+        spec = random_tree_spec(rng, min_leaves=20, max_leaves=200)
+        measures = 10.0 ** rng.uniform(-15.0, 15.0, len(spec.leaf_measures))
+        tree = uw.build_tree(TreeSpec(spec.balls, dict(zip(spec.leaf_measures, measures))))
+        _assert_pair_matvec_matches_dense(tree, random_kernel(rng, tree), rng)
 
 
 def test_rank_counts_zero_kernel_multiplicities():
