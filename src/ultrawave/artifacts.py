@@ -4,10 +4,18 @@ Each file has exactly the bytes a per-row ``csv.writer`` gives: lines end
 in CRLF, ids get ``csv``'s minimal quoting (``csv_fields``) and floats are
 written with ``repr``.  ``write_csv`` writes a file in one process, in row
 order, so its bytes do not depend on the number of CPUs.
+
+A regular file, or an absent one, is written under a side name in the same
+directory, ``.<name>.partial``, and renamed onto the output once complete.
+An existing output is first renamed to the side name and overwritten in
+place, so a rerun reuses the file's blocks (and keeps its inode, mode and
+hard links) instead of freeing them by truncation and allocating new ones.
+After a kill such an output is absent or complete, never half-written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import stat
@@ -58,17 +66,71 @@ def write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     and go out about ``_CSV_CHARS_PER_WRITE`` characters to a ``write``, so
     rows from a generator never hold the whole file in memory.
 
-    If a write fails or is interrupted, the exception propagates unchanged,
-    and the output is removed when it is a regular file; a FIFO or device
-    is left in place.
+    The rows go to the side file ``.<name>.partial`` (see ``_open_side``):
+    the existing output renamed there, a side file a killed run left, or a
+    new one.  They are written from its start without truncating it, the
+    file is cut at their end and renamed onto ``path``.  An output that
+    exists but is not a regular file (a FIFO, a device, a symlink, whose
+    target is written) is opened and truncated as ``open(path, "wb")`` does,
+    and so is any output whose side file cannot be renamed or opened.
+
+    If a write fails or is interrupted, the exception propagates unchanged
+    and no output is left: the side file is removed, or the output itself
+    when it was opened directly and is a regular file.  A FIFO or device is
+    left in place.
     """
-    with open(path, "wb") as out:
-        try:
-            _write_lines(out.write, chain([",".join(csv_fields(header))], lines))
-        except BaseException:
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                os.unlink(path)
-            raise
+    items = chain([",".join(csv_fields(header))], lines)
+    side = _open_side(path)
+    if side is None:
+        with open(path, "wb") as out:
+            try:
+                _write_lines(out.write, items)
+            except BaseException:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    os.unlink(path)
+                raise
+        return
+    out, side_path = side
+    try:
+        with out:
+            _write_lines(out.write, items)
+            out.truncate()
+        os.replace(side_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(side_path)
+        raise
+
+
+def _open_side(path):
+    """The side file of ``path`` open for writing from its start, and its name.
+
+    The side file is ``.<name>.partial`` in the output's directory.  An
+    output that is a regular file is renamed onto it, which keeps the
+    file's inode; an absent output reuses a side file a killed run left, or
+    creates one.  None, with nothing renamed, when the output exists but
+    is not a regular file (checked without following a symlink) or the
+    rename fails; None also when the side file cannot be opened or is not
+    a regular file.
+    """
+    head, name = os.path.split(os.fspath(path))
+    side = os.path.join(head, f".{name}.partial")
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return None
+        os.rename(path, side)
+    except FileNotFoundError:
+        pass  # no output: write a new side file, or the one a killed run left
+    except OSError:
+        return None
+    try:
+        fd = os.open(side, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
+    except OSError:
+        return None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        return None
+    return open(fd, "wb"), side
 
 
 def _write_lines(write, lines: Iterable[str]) -> None:

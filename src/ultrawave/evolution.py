@@ -376,7 +376,8 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     c_0 = J_0(x), c_k = 2 (-i)**k J_k(x), with J_k(-x) = (-1)**k J_k(x);
     K is the least degree whose discarded tail has sum |c_k| <= ``_KRYLOV_TOL``.
     """
-    j = bessel_j(abs(x), _negligible_order(abs(x)))
+    order = _negligible_order(abs(x))
+    j = _bessel_j(abs(x), order, order)
     # |c_k|, then in place the sum of |c_k| from k up
     tail = np.abs(j)
     tail[1:] *= 2
@@ -419,9 +420,14 @@ def bessel_j(x: float, count: int) -> np.ndarray:
     """
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"Bessel argument must be finite and nonnegative, got {x}")
+    return _bessel_j(x, count, _negligible_order(x))
+
+
+def _bessel_j(x: float, count: int, order: int) -> np.ndarray:
+    """``bessel_j(x, count)`` given ``order = _negligible_order(x)``."""
     if x == 0:
         return (np.arange(count) == 0).astype(float)
-    top = max(count, _negligible_order(x)) + 1
+    top = max(count, order) + 1
     out = np.zeros(top + 1)
     above, current = 0.0, 1.0
     out[top] = current

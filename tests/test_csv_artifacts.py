@@ -347,3 +347,87 @@ def test_failed_write_to_a_fifo_leaves_the_fifo(tmp_path):
     assert not reader.is_alive()
     assert received[0].startswith(b"a,b\r\n" + b"x" * 99 + b"\r\n")
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+# -- rewriting an existing output through its side file ------------------------
+
+
+def _trajectory(tree, count, seed=8):
+    rng = np.random.default_rng(seed)
+    states = list(rng.normal(size=(count, tree.n_leaves)) + 1j * rng.normal(size=(count, tree.n_leaves)))
+    return [0.5 * k for k in range(count)], states
+
+
+def test_rewrite_over_a_longer_file_matches_csv_writer(tmp_path):
+    """Written over a file three times as long, the output is cut at the
+    end of its rows."""
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    path = tmp_path / "ours.csv"
+    write_trajectory(path, tree, *_trajectory(tree, 3))
+    longer = path.stat().st_size
+    times, states = _trajectory(tree, 1, seed=9)
+    write_trajectory(path, tree, times, states)
+    _reference_trajectory(tmp_path / "reference.csv", tree, times, states)
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert longer > 2 * path.stat().st_size
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ours.csv", "reference.csv"]
+
+
+def test_rewrite_keeps_the_inode_mode_and_hard_links(tmp_path):
+    tree = uw.build_tree(uw.padic_preset(2, 9))
+    path, link = tmp_path / "trajectory.csv", tmp_path / "link.csv"
+    write_trajectory(path, tree, *_trajectory(tree, 2))
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    write_trajectory(path, tree, *_trajectory(tree, 1, seed=9))
+    after = path.stat()
+    assert (after.st_ino, after.st_dev, after.st_nlink) == (before.st_ino, before.st_dev, 2)
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert link.read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("error", [ValueError("cannot format"), KeyboardInterrupt()])
+def test_failed_rewrite_leaves_no_output_and_no_side_file(tmp_path, monkeypatch, error):
+    (tmp_path / "trajectory.csv").write_bytes(b"old rows\r\n" * 10000)
+    with pytest.raises(type(error)) as raised:
+        _write_with_marker(tmp_path, monkeypatch, 1535, error)
+    assert raised.value is error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_side_file_of_a_killed_run_is_reused(tmp_path):
+    """A side file left by a killed run, longer than the new rows and with
+    no output beside it, becomes the output."""
+    side = tmp_path / ".data.csv.partial"
+    side.write_bytes(b"half-written rows\r\n" * 1000)
+    inode = side.stat().st_ino
+    artifacts.write_csv(tmp_path / "data.csv", ["a", "b"], ["1,2", "3,4"])
+    assert (tmp_path / "data.csv").read_bytes() == b"a,b\r\n1,2\r\n3,4\r\n"
+    assert (tmp_path / "data.csv").stat().st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+    # beside an existing output, the output's own file takes the side name
+    side.write_bytes(b"half-written rows\r\n")
+    artifacts.write_csv(tmp_path / "data.csv", ["a"], ["5"])
+    assert (tmp_path / "data.csv").read_bytes() == b"a\r\n5\r\n"
+    assert (tmp_path / "data.csv").stat().st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_symlinked_output_is_written_through_its_target(tmp_path):
+    target, path = tmp_path / "target.csv", tmp_path / "data.csv"
+    target.write_bytes(b"old rows\r\n" * 1000)
+    path.symlink_to(target)
+    artifacts.write_csv(path, ["a", "b"], ["1,2"])
+    assert path.is_symlink() and os.readlink(path) == str(target)
+    assert target.read_bytes() == b"a,b\r\n1,2\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "target.csv"]
+
+
+def test_output_in_a_missing_directory_is_named_in_the_error(tmp_path):
+    path = tmp_path / "missing" / "data.csv"
+    with pytest.raises(FileNotFoundError) as raised:
+        artifacts.write_csv(path, ["a"], ["1"])
+    assert raised.value.filename == str(path)
+    assert list(tmp_path.iterdir()) == []

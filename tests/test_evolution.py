@@ -514,6 +514,40 @@ def test_chebyshev_product_count_on_the_512_leaf_tree(monkeypatch):
     assert len(products) == 76
 
 
+def _reference_chebyshev_coefficients(x):
+    """The coefficients through ``bessel_j``, which searches for the
+    negligible order a second time."""
+    j = bessel_j(abs(x), evolution._negligible_order(abs(x)))
+    tail = np.abs(j)
+    tail[1:] *= 2
+    tail = np.cumsum(tail[::-1])[::-1]
+    degree = int(np.count_nonzero(tail > evolution._KRYLOV_TOL)) - 1
+    phase = (2, -2j, -2, 2j) if x >= 0 else (2, 2j, -2, -2j)
+    c = np.empty(degree + 1, dtype=complex)
+    for k in range(min(4, degree + 1)):
+        c[k::4] = j[k : degree + 1 : 4] * phase[k]
+    c[0] = j[0]
+    return c
+
+
+def test_chebyshev_coefficients_search_the_order_once(monkeypatch):
+    xs = (0.0, 1e-3, 0.7, -3.5, 40.0, -1e3, 2.5e4)
+    want = [_reference_chebyshev_coefficients(x) for x in xs]
+    searches = []
+    search = evolution._negligible_order
+
+    def counted(x):
+        searches.append(x)
+        return search(x)
+
+    monkeypatch.setattr(evolution, "_negligible_order", counted)
+    for x, c in zip(xs, want):
+        searches.clear()
+        got = evolution._chebyshev_coefficients(x)
+        assert searches == [abs(x)]
+        np.testing.assert_array_equal(got.view(np.int64), c.view(np.int64))  # bitwise
+
+
 def test_chebyshev_expm_holds_no_table_of_all_coefficients():
     # A = I / 2 with half-width 1, so exp(-i t A) is the phase exp(-i t / 2)
     times = (1e5, -0.9e5, 0.5e5)

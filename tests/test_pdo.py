@@ -13,7 +13,13 @@ from ultrawave.certify import (
     random_tree,
     random_tree_spec,
 )
-from ultrawave.pdo import pair_matvec, read_spectrum, symmetric_operator, write_spectrum
+from ultrawave.pdo import (
+    _sup_kernel,
+    pair_matvec,
+    read_spectrum,
+    symmetric_operator,
+    write_spectrum,
+)
 
 
 def symmetrized(tree, matrix: np.ndarray) -> np.ndarray:
@@ -418,3 +424,29 @@ def test_verify_spectrum_memory_is_about_two_dense_arrays(tree):
         tracemalloc.stop()
     assert peak <= 2.5 * n * n * 8
     assert report.passed
+
+
+def _reference_sup_kernel(tree, kernel):
+    """T(sup(x, y)) by filling each internal ball's whole leaf block in
+    preorder, so the deepest common ball is written last."""
+    n = tree.n_leaves
+    sup_kernel = np.zeros((n, n))
+    for ball in tree.internal:
+        leaves = tree.leaf_slice(ball)
+        sup_kernel[leaves, leaves] = kernel.values[ball]
+    return sup_kernel
+
+
+def test_sup_kernel_matches_the_whole_block_fill(caterpillar, star):
+    trees = [
+        random_tree(np.random.default_rng([23, seed]), max_leaves=200, max_children=8)
+        for seed in range(12)
+    ]
+    one_leaf = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),)))
+    trees += [caterpillar(300), star(500), one_leaf, uw.build_tree(uw.padic_preset(3, 4))]
+    rng = np.random.default_rng(24)
+    for tree in trees:
+        kernel = random_kernel(rng, tree)
+        np.testing.assert_array_equal(
+            _sup_kernel(tree, kernel), _reference_sup_kernel(tree, kernel), strict=True
+        )
