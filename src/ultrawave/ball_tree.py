@@ -28,6 +28,11 @@ quantity is a read-only numpy array indexed by that number:
 - ``diameter`` and ``measure``;
 - ``levels``: per depth, the balls at that depth in preorder.
 
+Two sweeps over ``levels`` carry every per-ball sum the package needs:
+``ball_integrals`` sums leaf values up to each ball, children first, and
+``path_sums`` sums per-ball terms down each root path.  Their per-level
+schedules are built on first use and kept with the tree.
+
 String ids are used only at the boundary.  They stay in the order of the
 specification, ``ids_of`` reads them by ball number, and one lookup table,
 built on first use, maps an id back to its number.  ``sup``, ``leaf_slice``
@@ -252,6 +257,45 @@ class BallTree:
     def internal_rank(self) -> np.ndarray:
         """Per ball, its position among the internal balls (meaningful for those only)."""
         return _frozen(np.cumsum(self.child_count > 0) - 1)
+
+    @cached_property
+    def _up_sweep(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Schedule of :meth:`ball_integrals`: per level above the deepest,
+        deepest first, its internal balls, the level below (grouped by
+        parent) and where each ball's children start in it."""
+        sweep = []
+        for level, below in zip(self.levels[-2::-1], self.levels[:0:-1]):
+            internal = level[self.child_count[level] > 0]
+            sweep.append((internal, below, _exclusive_cumsum(self.child_count[internal])))
+        return tuple(sweep)
+
+    @cached_property
+    def _down_sweep(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Schedule of :meth:`path_sums`: per level below the root, its balls and their parents."""
+        return tuple((level, self.parent[level]) for level in self.levels[1:])
+
+    def ball_integrals(self, leaf_values: np.ndarray) -> np.ndarray:
+        """Per ball, the sum of ``leaf_values`` (one per leaf) over its leaves.
+
+        Bottom-up, a level at a time: each internal ball adds its children's
+        sums in child order with ``np.add.reduceat``, so a sum is never a
+        global prefix difference, which would cancel as n grows.
+        """
+        x = np.empty(len(self), dtype=leaf_values.dtype)
+        x[self.leaf_balls] = leaf_values
+        for internal, below, starts in self._up_sweep:
+            x[internal] = np.add.reduceat(x[below], starts)
+        return x
+
+    def path_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Per ball, the sum of ``terms`` (one per ball) over the ball and its ancestors.
+
+        Top-down, a level at a time: each ball adds its parent's finished
+        sum to its own term.  Accumulates into ``terms`` and returns it.
+        """
+        for level, above in self._down_sweep:
+            terms[level] += terms[above]
+        return terms
 
     def internal_position(self, ball_id: str) -> int:
         """Position of an internal ball among ``internal``; ``KeyError`` otherwise."""

@@ -112,6 +112,10 @@ def cmd_evolve(args) -> int:
             f"--tol must be in [0, 1): the support threshold must be nonnegative "
             f"and below the largest value, got {args.tol}"
         )
+    # before any file is read: loading a large tree takes seconds
+    if args.mode == "potential" and args.potential is None:
+        print("error: --mode potential requires --potential", file=sys.stderr)
+        return 2
     tree = build_tree(load_tree_spec(args.tree))
     kernel = _kernel_for(args, tree)
     values = read_leaf_values(args.initial, tree)
@@ -119,9 +123,6 @@ def cmd_evolve(args) -> int:
     config = EvolutionConfig(times=times, hbar=args.hbar)
 
     if args.mode == "potential":
-        if args.potential is None:
-            print("error: --mode potential requires --potential", file=sys.stderr)
-            return 2
         potential = read_leaf_values(args.potential, tree)
         states = evolve_with_potential(values, potential, tree, kernel, config)
     else:

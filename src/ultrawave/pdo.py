@@ -15,7 +15,7 @@ Kernels and spectra are :class:`~.ball_tree.BallValues`: one float per
 internal ball, in an array over the tree's internal balls in preorder,
 bound to that tree.  Id-keyed kernel values enter only through
 ``make_kernel`` (and ``load_kernel``).  ``spectrum`` fills the whole array
-in one root-down sweep, a level of the tree at a time, adding the same
+with the tree's root-down sweep ``BallTree.path_sums``, adding the same
 terms in the same order as the per-ball path sum of ``eigenvalue``, and
 ``Spectrum.for_basis`` is one gather by the basis plan's ball indices.
 
@@ -33,8 +33,9 @@ column-major order, which numpy copies into LAPACK's buffer contiguously
 rather than one strided column at a time.
 
 ``pair_matvec`` is M without the matrix: the product f -> M f = a f - b
-from one bottom-up pass of ball integrals, a level at a time in child
-order, and one top-down pass, O(n) per product.  Like ``dense_operator``
+from the tree's two sweeps, ball integrals bottom-up
+(``BallTree.ball_integrals``) and path sums top-down
+(``BallTree.path_sums``), O(n) per product.  Like ``dense_operator``
 it uses no wavelet and no eigenvalue formula; it is the product of the
 Chebyshev potential route in :mod:`.evolution`.
 """
@@ -51,7 +52,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import csv_fields, write_csv
-from .ball_tree import BallTree, BallValues, _exclusive_cumsum, _is_number, internal_values
+from .ball_tree import BallTree, BallValues, _is_number, internal_values
 from .wavelet import WaveletBasis
 
 
@@ -215,8 +216,15 @@ def eigenvalue(tree: BallTree, kernel: SupKernel, ball_id: str) -> float:
     return lam
 
 
+def _ball_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
+    """The kernel value of every ball in preorder, 0 on leaves."""
+    t = np.zeros(len(tree))
+    t[tree.internal_balls] = internal_values(kernel.values, tree)
+    return t
+
+
 def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
-    """Eigenvalues of every internal ball in one root-down sweep, a level at a time.
+    """Eigenvalues of every internal ball, from the tree's root-down :meth:`~.BallTree.path_sums`.
 
     With a(root) = 0 and a(B) = a(P) + T(P) (nu(P) - nu(B)) for a child B of
     P, the eigenvalue of B is a(B) + T(B) nu(B): the same additions, in the
@@ -224,15 +232,12 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     eigenvalue is not finite (the kernel times the measures overflows) is
     rejected by name.
     """
-    t = np.zeros(len(tree))
-    t[tree.internal_balls] = internal_values(kernel.values, tree)
+    t = _ball_kernel(tree, kernel)
     nu = tree.measure
-    a = np.zeros(len(tree))
+    parent = np.maximum(tree.parent, 0)  # the root is its own parent and adds T(root) * 0
+    internal = tree.internal_balls
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in tree.levels[1:-1]:  # the deepest level holds only leaves
-            up = tree.parent[level]
-            a[level] = a[up] + t[up] * (nu[up] - nu[level])
-        internal = tree.internal_balls
+        a = tree.path_sums(t[parent] * (nu[parent] - nu))
         lam = a[internal] + t[internal] * nu[internal]
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
@@ -262,8 +267,7 @@ def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     filled as one block.
     """
     n = tree.n_leaves
-    t = np.zeros(len(tree))
-    t[tree.internal_balls] = internal_values(kernel.values, tree)
+    t = _ball_kernel(tree, kernel)
     start, stop = tree.leaf_start, tree.leaf_stop
     # leaves where the parent changes; prepending -1, the root's parent,
     # finds none when the one leaf is the root
@@ -326,39 +330,21 @@ def pair_matvec(tree: BallTree, kernel: SupKernel):
     child of P that holds x, P adds T(P) [(nu(P) - nu(C)) f(x) - (I(P) - I(C))],
     I(B) the integral of f * nu over B.  So M f = a * f - b with
     a(x) = sum T(P) (nu(P) - nu(C)) and b(x) = sum T(P) (I(P) - I(C)) over
-    the parent-child pairs on x's path.  Each product sums the integrals
-    bottom-up, a level at a time in child order (one global prefix sum
-    would cancel as n grows), and b top-down; a is summed once, top-down.
+    the parent-child pairs on x's path.  Each product takes I from the
+    tree's bottom-up :meth:`~.BallTree.ball_integrals` and b from its
+    top-down :meth:`~.BallTree.path_sums`; a is summed once, the same way.
     It uses no wavelet and no eigenvalue, so it is independent of both.
     """
-    t = np.zeros(len(tree))
-    t[tree.internal_balls] = internal_values(kernel.values, tree)
     parent = np.maximum(tree.parent, 0)  # the root, ball 0, is its own parent
-    t_parent = t[parent]
+    t_parent = _ball_kernel(tree, kernel)[parent]
     t_parent[0] = 0.0  # and no pair of points has its sup above the root
-    # per level below the root: its balls and their parents, for the top-down sums
-    down = [(level, tree.parent[level]) for level in tree.levels[1:]]
-    # per level above the deepest: its internal balls, the level below and
-    # where each ball's children start in it
-    up = []
-    for level, below in zip(tree.levels[-2::-1], tree.levels[:0:-1]):
-        internal = level[tree.child_count[level] > 0]
-        up.append((internal, below, _exclusive_cumsum(tree.child_count[internal])))
     nu = tree.measure
-    a = t_parent * (nu[parent] - nu)
-    for level, above in down:
-        a[level] += a[above]
-    a = a[tree.leaf_balls]
     leaves, leaf_nu = tree.leaf_balls, tree.leaf_measures
+    a = tree.path_sums(t_parent * (nu[parent] - nu))[leaves]
 
     def matvec(f: np.ndarray) -> np.ndarray:
-        integral = np.empty(len(t), dtype=np.result_type(f, float))
-        integral[leaves] = f * leaf_nu
-        for internal, below, offsets in up:
-            integral[internal] = np.add.reduceat(integral[below], offsets)
-        b = t_parent * (integral[parent] - integral)
-        for level, above in down:
-            b[level] += b[above]
+        integral = tree.ball_integrals(f * leaf_nu)
+        b = tree.path_sums(t_parent * (integral[parent] - integral))
         return a * f - b[leaves]
 
     return matvec

@@ -12,13 +12,16 @@ unit-norm constraints.  For a two-child ball with equal masses this is the
 classical Haar pair (+1, -1); any other orthonormal choice inside a ball
 spans the same space and leaves every operator in :mod:`.pdo` diagonal.
 
-A basis is stored as a :class:`TransformPlan`: per wavelet two leaf ranges
-and the Helmert pair, plus a schedule over the tree's balls, O(n) numbers
-for n leaves.  ``analyze`` and ``synthesize`` run in O(n) as a pyramid over
-that schedule: ball integrals of f * nu bottom-up, then values top-down.
-Partial sums over siblings come from a work-efficient (Blelloch) scan, so
-each is a balanced tree of additions and rounding grows with depth and the
-log of the arity, not with n.
+A basis is stored as a :class:`TransformPlan`: per wavelet two leaf ranges,
+the Helmert pair and the ball of its child, plus a scan schedule over
+siblings, O(n) numbers for n leaves.  ``analyze`` and ``synthesize`` run in
+O(n) on the tree's two sweeps, with every per-ball array in the tree's
+preorder ball numbering: ``analyze`` takes ball integrals of f * nu
+bottom-up (``BallTree.ball_integrals``), ``synthesize`` sums values down
+each root path (``BallTree.path_sums``).  Partial sums over siblings come
+from a work-efficient (Blelloch) scan, so each is a balanced tree of
+additions and rounding grows with depth and the log of the arity, not
+with n.
 
 The dense oracles work from the same plan.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
@@ -48,19 +51,15 @@ class TransformPlan:
     ``index[k]`` = j.  It equals ``pos[k]`` on leaves
     ``[ball_start[k], child_start[k])`` (children 1..j of the ball),
     ``neg[k]`` on leaves ``[child_start[k], child_stop[k])`` (child j+1) and
-    zero elsewhere.  ``constant`` is the value of the normalized constant.
+    zero elsewhere.  ``child[k]`` is the tree's ball number of child j+1.
+    ``constant`` is the value of the normalized constant.
 
-    The pyramid numbers the balls root first (node 0), then the children of
-    each internal ball in tree order, so siblings are consecutive nodes.
-    ``child_node[k]`` is the node of wavelet k's child j+1, ``leaf_node``
-    the node of each leaf and ``parent`` each node's parent.  ``levels``
-    holds, per depth from the root down, the internal balls at that depth
-    (``parents``), all balls one level deeper (``kids``, grouped by parent)
-    and the start of each parent's group in ``kids``.  ``scan`` pairs
-    sibling blocks for :func:`_sibling_sums`: level L joins blocks
-    ``left`` and ``right`` of level L - 1 (each block a run of 2**(L-1)
-    consecutive siblings) into one, ``paired`` marking the joined blocks
-    that have a right half.
+    ``scan`` pairs sibling blocks for :func:`_sibling_sums`: level L joins
+    blocks ``left`` and ``right`` of level L - 1 (each block a run of
+    2**(L-1) consecutive siblings) into one, ``paired`` marking the joined
+    blocks that have a right half.  The blocks of level 0 are single balls,
+    so the first level's ``left`` and ``right`` are ball numbers; later
+    levels index the blocks of the level before.
     """
 
     ball: np.ndarray
@@ -71,10 +70,7 @@ class TransformPlan:
     pos: np.ndarray
     neg: np.ndarray
     constant: float
-    child_node: np.ndarray
-    leaf_node: np.ndarray
-    parent: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    child: np.ndarray
     scan: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,13 +134,11 @@ class WaveletBasis:
         source of its child j+1.  A source is a leaf index, or ``~b`` for
         the sum of internal ball b.
         """
-        p = self.plan
-        first = np.searchsorted(p.ball, np.arange(len(self.tree.internal_balls) + 1))
-        first_child = p.child_node[first[:-1]] - 1  # siblings are consecutive nodes
-        source = np.empty(len(p.parent), dtype=np.intp)
-        source[p.leaf_node] = np.arange(self.tree.n_leaves)
-        source[p.parent[first_child]] = ~np.arange(len(first_child))
-        return first.tolist(), source[first_child].tolist(), source[p.child_node].tolist()
+        tree, p = self.tree, self.plan
+        first = np.searchsorted(p.ball, np.arange(len(tree.internal_balls) + 1))
+        first_child = tree.kids[tree.first_child[tree.internal_balls]]
+        source = np.where(tree.child_count, ~tree.internal_rank, tree.leaf_start)
+        return first.tolist(), source[first_child].tolist(), source[p.child].tolist()
 
     def matrix_times(self, y) -> np.ndarray:
         """``matrix @ y`` for a real 2-D ``y`` with one row per leaf.
@@ -185,12 +179,9 @@ class WaveletBasis:
         """Expansion coefficients of a leaf function, one per basis element."""
         p = self.plan
         v = self.tree.as_leaf_values(values)
-        integral = np.empty(len(p.parent), dtype=complex)
-        integral[p.leaf_node] = v * self.tree.leaf_measures
-        for parents, kids, offsets in reversed(p.levels):
-            integral[parents] = np.add.reduceat(integral[kids], offsets)
+        integral = self.tree.ball_integrals(v * self.tree.leaf_measures)
         before = _sibling_sums(integral, p.scan, before=True)
-        wavelet_part = p.pos * before[p.child_node] + p.neg * integral[p.child_node]
+        wavelet_part = p.pos * before[p.child] + p.neg * integral[p.child]
         return np.append(wavelet_part, p.constant * integral[0])
 
     def synthesize(self, coefficients) -> np.ndarray:
@@ -201,14 +192,12 @@ class WaveletBasis:
         p = self.plan
         # a ball's wavelets add, on its child i, pos * c for every wavelet
         # of a later child plus neg * c for the wavelet of child i
-        up = np.zeros(len(p.parent), dtype=complex)
-        up[p.child_node] = p.pos * c[:-1]
+        up = np.zeros(len(self.tree), dtype=complex)
+        up[p.child] = p.pos * c[:-1]
         value = _sibling_sums(up, p.scan, before=False)
-        value[p.child_node] += p.neg * c[:-1]
+        value[p.child] += p.neg * c[:-1]
         value[0] = p.constant * c[-1]
-        for _, kids, _ in p.levels:
-            value[kids] += value[p.parent[kids]]
-        return value[p.leaf_node]
+        return self.tree.path_sums(value)[self.tree.leaf_balls]
 
     def gram(self) -> np.ndarray:
         """Measure-weighted Gram matrix; identity for a correct basis.
@@ -250,20 +239,23 @@ def _sibling_sums(x: np.ndarray, scan, before: bool) -> np.ndarray:
     return out
 
 
-def _scan_schedule(rank: np.ndarray, rank_back: np.ndarray):
-    """The ``scan`` of a plan, from each node's count of earlier and later siblings."""
+def _scan_schedule(kids: np.ndarray, rank: np.ndarray, rank_back: np.ndarray):
+    """The ``scan`` of a plan, from the balls ``kids`` in sibling order and
+    each one's count of earlier and later siblings."""
     scan = []
+    block = kids  # level 0's blocks are balls, every later level's are positions
     while True:
         # a block opens a pair if it is even-numbered and has a sibling block
         left = np.flatnonzero((rank % 2 == 0) & (rank + rank_back > 0))
         if left.size == 0:
             return tuple(scan)
         paired = np.flatnonzero(rank_back[left] > 0)
-        right = left[paired] + 1
-        for a in (left, paired, right):
+        level = (block[left], paired, block[left[paired] + 1])
+        for a in level:
             a.flags.writeable = False
-        scan.append((left, paired, right))
+        scan.append(level)
         rank, rank_back = rank[left] // 2, rank_back[left] // 2
+        block = np.arange(left.size)
 
 
 def _helmert_weight(near: np.ndarray, far: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -290,16 +282,11 @@ def build_basis(tree: BallTree) -> WaveletBasis:
     """Construct the wavelet basis of a tree in O(n), from the tree's arrays.
 
     Deterministic: the same tree always yields bitwise-identical vectors.
-    The pyramid's nodes are the tree's sibling order (``tree.kids``) after
-    the root, and the Helmert masses before each child are running sums of
-    the sibling measures in child order, as a loop over the children would
-    add them.
+    Wavelets follow the tree's sibling order (``tree.kids``), and the
+    Helmert masses before each child are running sums of the sibling
+    measures in child order, as a loop over the children would add them.
     """
     m = len(tree)
-    node_ball = np.concatenate(([0], tree.kids))
-    node_of = np.empty(m, dtype=np.intp)
-    node_of[node_ball] = np.arange(m)
-    parent = node_of[np.maximum(tree.parent[node_ball], 0)]  # the root is its own parent
     up = tree.parent[tree.kids]
     count = tree.child_count[up]
     rank = np.arange(1, m) - 1 - tree.first_child[up]
@@ -312,16 +299,6 @@ def build_basis(tree: BallTree) -> WaveletBasis:
     head = mass[wavelet - 1]
     tail = measure[wavelet]
     total = head + tail
-    levels = []
-    for level in tree.levels[1:]:
-        # within a depth preorder is sibling order, so the nodes ascend and
-        # come grouped by parent
-        kids = node_of[level]
-        parents, offsets = np.unique(parent[kids], return_index=True)
-        levels.append(tuple(_frozen(a, np.intp) for a in (parents, kids, offsets)))
-
-    rank_all = np.concatenate(([0], rank))
-    rank_back = np.concatenate(([0], count - 1 - rank))
     plan = TransformPlan(
         ball=_frozen(tree.internal_rank[up[wavelet]], np.intp),
         index=_frozen(rank[wavelet], np.intp),
@@ -331,11 +308,8 @@ def build_basis(tree: BallTree) -> WaveletBasis:
         pos=_frozen(_helmert_weight(head, tail, total), float),
         neg=_frozen(-_helmert_weight(tail, head, total), float),
         constant=1.0 / math.sqrt(tree.total_measure),
-        child_node=_frozen(wavelet + 1, np.intp),
-        leaf_node=_frozen(node_of[tree.leaf_balls], np.intp),
-        parent=_frozen(parent, np.intp),
-        levels=tuple(levels),
-        scan=_scan_schedule(rank_all, rank_back),
+        child=_frozen(child, np.intp),
+        scan=_scan_schedule(tree.kids, rank, count - 1 - rank),
     )
     return WaveletBasis(tree, plan)
 

@@ -438,6 +438,21 @@ def test_evolve_potential_mode_requires_potential(tree_file, kernel_file, tmp_pa
     assert rc == 2
 
 
+def test_evolve_potential_mode_without_potential_is_reported_before_any_file_is_read(
+    tmp_path, capsys
+):
+    rc = main(
+        [
+            "evolve", "--tree", str(tmp_path / "missing.json"), "--alpha", "0.5",
+            "--initial", str(tmp_path / "missing.csv"), "--mode", "potential",
+            "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --mode potential requires --potential\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["schrodinger", "potential"])
 def test_evolve_rejects_non_finite_initial_values(tree_file, kernel_file, tmp_path, capsys, mode):
     initial = _write_initial(tmp_path, [1.0, float("nan"), 0.5, -0.5])

@@ -20,7 +20,7 @@ import ultrawave as uw
 from ultrawave.ball_tree import BallSpec, TreeSpec, padic_preset
 from ultrawave.certify import _potential_deviation, random_kernel, random_tree_spec
 from ultrawave.cli import main
-from ultrawave.wavelet import _helmert_weight, _scan_schedule
+from ultrawave.wavelet import _helmert_weight
 
 
 # -- the per-ball reference ----------------------------------------------------
@@ -96,23 +96,37 @@ def _reference_spectrum(ref: dict, kernel: dict) -> dict:
     return eigs
 
 
+def _reference_scan(groups: list) -> tuple:
+    """The sibling scan from plain lists: ``groups`` holds each internal
+    ball's children as ball numbers; every level pairs a group's blocks
+    left to right, and a group left with one block drops out."""
+    scan = []
+    while any(len(g) > 1 for g in groups):
+        left, paired, right, joined = [], [], [], []
+        for g in groups:
+            if len(g) < 2:
+                continue
+            joined.append([])
+            for i in range(0, len(g), 2):
+                if i + 1 < len(g):
+                    paired.append(len(left))
+                    right.append(g[i + 1])
+                joined[-1].append(len(left))
+                left.append(g[i])
+        scan.append(tuple(np.array(a, dtype=np.intp) for a in (left, paired, right)))
+        groups = joined
+    return tuple(scan)
+
+
 def _reference_plan(ref: dict) -> dict:
-    node_of = {ref["root"]: 0}
-    parent, depth, rank, rank_back = [0], [0], [0], [0]
+    ball_of = {ball_id: b for b, ball_id in enumerate(ref["order"])}
     ball, index, ball_start, child_start, child_stop = [], [], [], [], []
-    head, tail, child_node = [], [], []
+    head, tail, child_ball = [], [], []
     for b, ball_id in enumerate(ref["internal"]):
-        up = node_of[ball_id]
         children = ref["children"][ball_id]
         start = ref["span"][ball_id][0]
         mass = 0.0
         for j, child in enumerate(children):
-            node = len(parent)
-            node_of[child] = node
-            parent.append(up)
-            depth.append(depth[up] + 1)
-            rank.append(j)
-            rank_back.append(len(children) - 1 - j)
             measure = ref["measure"][child]
             if j == 0:
                 mass = measure
@@ -122,32 +136,48 @@ def _reference_plan(ref: dict) -> dict:
             ball_start.append(start)
             child_start.append(ref["span"][child][0])
             child_stop.append(ref["span"][child][1])
-            child_node.append(node)
+            child_ball.append(ball_of[child])
             head.append(mass)
             tail.append(measure)
             mass += measure
-    parent_arr = np.array(parent)
-    depth_arr = np.array(depth)
-    order = np.argsort(depth_arr, kind="stable")
-    bounds = np.searchsorted(depth_arr[order], np.arange(depth_arr.max() + 2))
-    levels = []
-    for d in range(depth_arr.max()):
-        kids = order[bounds[d + 1] : bounds[d + 2]]
-        parents, offsets = np.unique(parent_arr[kids], return_index=True)
-        levels.append((parents, kids, offsets))
     head_arr, tail_arr = np.array(head, dtype=float), np.array(tail, dtype=float)
     total = head_arr + tail_arr
+    groups = [[ball_of[c] for c in ref["children"][b]] for b in ref["internal"]]
     return {
         "ball": np.array(ball), "index": np.array(index), "ball_start": np.array(ball_start),
         "child_start": np.array(child_start), "child_stop": np.array(child_stop),
         "pos": _helmert_weight(head_arr, tail_arr, total),
         "neg": -_helmert_weight(tail_arr, head_arr, total),
         "constant": 1.0 / math.sqrt(ref["measure"][ref["root"]]),
-        "child_node": np.array(child_node),
-        "leaf_node": np.array([node_of[leaf] for leaf in ref["leaves"]]),
-        "parent": parent_arr, "levels": levels,
-        "scan": _scan_schedule(np.array(rank), np.array(rank_back)),
+        "child": np.array(child_ball),
+        "scan": _reference_scan(groups),
     }
+
+
+def _reference_path_sums(ref: dict, terms: np.ndarray) -> np.ndarray:
+    """Root down, one ball at a time: s[b] = terms[b] + s[parent of b]."""
+    ball_of = {ball_id: b for b, ball_id in enumerate(ref["order"])}
+    sums = {}
+    for ball_id in ref["order"]:
+        b = ball_of[ball_id]
+        parent = ref["by_id"][ball_id].parent
+        sums[b] = terms[b] if parent is None else terms[b] + sums[ball_of[parent]]
+    return np.array([sums[b] for b in range(len(terms))])
+
+
+def _reference_ball_integrals(ref: dict, leaf_values: np.ndarray) -> np.ndarray:
+    """Children first, one ball at a time: a ball adds its children's sums in child order."""
+    ball_of = {ball_id: b for b, ball_id in enumerate(ref["order"])}
+    leaf_of = {leaf: k for k, leaf in enumerate(ref["leaves"])}
+    sums = {}
+    for ball_id in reversed(ref["order"]):
+        children = ref["children"][ball_id]
+        if children:
+            block = np.array([sums[ball_of[c]] for c in children])
+            sums[ball_of[ball_id]] = np.add.reduceat(block, [0])[0]
+        else:
+            sums[ball_of[ball_id]] = leaf_values[leaf_of[ball_id]]
+    return np.array([sums[b] for b in range(len(ref["order"]))])
 
 
 # -- shapes ------------------------------------------------------------------
@@ -189,6 +219,7 @@ SHAPES = {
     "star": lambda: _star_spec(10_000, 12),
     "padic-3-4": lambda: padic_preset(3, 4, 7.0),
 }
+ONE_LEAF = TreeSpec(balls=(BallSpec("r", None, 1.0, 3.0),))
 
 
 def _same_bits(a, b) -> bool:
@@ -229,15 +260,38 @@ def test_arrays_match_the_per_ball_reference_bitwise(shape):
     plan = uw.build_basis(tree).plan
     ref_plan = _reference_plan(ref)
     for name in ("ball", "index", "ball_start", "child_start", "child_stop", "pos", "neg",
-                 "child_node", "leaf_node", "parent"):
+                 "child"):
         assert _same_bits(getattr(plan, name), ref_plan[name]), name
     assert plan.constant == ref_plan["constant"]
-    assert len(plan.levels) == len(ref_plan["levels"])
-    for got, want in zip(plan.levels, ref_plan["levels"]):
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
     assert len(plan.scan) == len(ref_plan["scan"])
     for got, want in zip(plan.scan, ref_plan["scan"]):
         assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def _wide_values(rng, size: int, dtype) -> np.ndarray:
+    """Values over +-6 decades of both signs, so the order of additions shows in the bits."""
+    def draw():
+        return rng.standard_normal(size) * 10.0 ** rng.uniform(-6.0, 6.0, size)
+    return draw() + 1j * draw() if dtype is complex else draw()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", sorted(SHAPES) + ["one-leaf"])
+def test_tree_sweeps_match_the_per_ball_recursions_bitwise(shape, dtype):
+    spec = ONE_LEAF if shape == "one-leaf" else SHAPES[shape]()
+    ref = _reference_tree(spec)
+    tree = uw.build_tree(spec)
+    rng = np.random.default_rng(len(tree))
+
+    terms = _wide_values(rng, len(tree), dtype)
+    want = _reference_path_sums(ref, terms)
+    got = tree.path_sums(terms.copy())
+    assert got.dtype == terms.dtype and _same_bits(got, want)
+
+    leaf_values = _wide_values(rng, tree.n_leaves, dtype)
+    got = tree.ball_integrals(leaf_values)
+    assert got.dtype == leaf_values.dtype
+    assert _same_bits(got, _reference_ball_integrals(ref, leaf_values))
 
 
 def test_random_kernel_spectrum_matches_reference_and_eigenvalue():
@@ -301,21 +355,28 @@ def test_preset_with_leaf_measures_builds_as_ball_specs(leaf_measures, violation
 
 
 def test_tree_layers_allocate_linearly():
-    """build + kernel + spectrum + basis at 2**16 leaves stay O(n) in memory.
+    """build + kernel + spectrum + basis + the first transforms and product
+    at 2**16 leaves stay O(n) in memory.
 
-    Measured about 1 kB per leaf (two balls, their ids, the lookup table
-    and the plan); a dense n x n array would be 32 GB.
+    Measured under 1 kB per leaf (two balls, their ids, the lookup table,
+    the plan and the sweep schedules the tree keeps); a dense n x n array
+    would be 32 GB.
     """
     n = 1 << 16
     tracemalloc.start()
     try:
         tree = uw.build_tree(padic_preset(2, 16))
-        spec = uw.spectrum(tree, uw.vladimirov_kernel(tree, 0.5))
+        kernel = uw.vladimirov_kernel(tree, 0.5)
+        spec = uw.spectrum(tree, kernel)
         basis = uw.build_basis(tree)
+        f = np.linspace(-1.0, 1.0, n) + 0j
+        back = basis.synthesize(basis.analyze(f))
+        product = uw.pdo.pair_matvec(tree, kernel)(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert basis.size == n and len(spec.eigenvalues) == n - 1
+    assert back.shape == product.shape == (n,)
     assert peak < 1536 * n, f"{peak / n:.0f} bytes per leaf"
 
 

@@ -378,9 +378,10 @@ def test_fast_transform_memory_is_linear():
 
 @pytest.mark.parametrize("kind, n", [("star", 10000), ("random", 2000), ("caterpillar", 500)])
 def test_sibling_scan_work_is_linear(kind, n):
-    # whatever the arity, the scan's levels hold at most two entries per node
-    plan = uw.build_basis(_adversarial_tree(kind, n, 0)).plan
-    assert sum(len(left) for left, _, _ in plan.scan) <= 2 * len(plan.parent)
+    # whatever the arity, the scan's levels hold at most two entries per ball
+    tree = _adversarial_tree(kind, n, 0)
+    plan = uw.build_basis(tree).plan
+    assert sum(len(left) for left, _, _ in plan.scan) <= 2 * len(tree)
 
 
 # -- products with the basis over its supports -----------------------------------
