@@ -1,9 +1,17 @@
-"""CSV artifacts: the bytes every writer in the package shares.
+"""CSV artifacts: the one CSV reader, and the bytes every writer shares.
 
-Each file has exactly the bytes a per-row ``csv.writer`` gives: lines end
-in CRLF, ids get ``csv``'s minimal quoting (``csv_fields``) and floats are
-written with ``repr``.  ``write_csv`` writes a file in one process, in row
-order, so its bytes do not depend on the number of CPUs.
+Every CSV input (leaf values, potentials, an expected spectrum) is read by
+``read_csv``: ``csv.reader`` rows, turned into columns found by header
+name, blank lines skipped, short rows padded with None and columns past
+the header dropped.  ``column`` and ``float_column`` take one column out,
+and their ``ValueError`` names the file, the column and, for a short row
+or a field that is not a number, its line; the line is found by reading
+the file again only once a bad field has shown up.
+
+Each file written has exactly the bytes a per-row ``csv.writer`` gives:
+lines end in CRLF, ids get ``csv``'s minimal quoting (``csv_fields``) and
+floats are written with ``repr``.  ``write_csv`` writes a file in one
+process, in row order, so its bytes do not depend on the number of CPUs.
 
 A regular file, or an absent one, is written under a side name in the same
 directory, ``.<name>.partial``, and renamed onto the output once complete.
@@ -17,11 +25,87 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import os
 import stat
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, islice, zip_longest
 from typing import Iterable
+
+import numpy as np
+
+from .ball_tree import _is_number
+
+
+def read_csv(path) -> dict[str, Sequence[str | None]]:
+    """Each column of a CSV file by its header name, as ``csv.reader`` reads it.
+
+    A column holds one field per row, in file order.  Blank lines are
+    skipped, short rows padded with None and fields past the header
+    dropped; a name the header repeats takes its last column, the one the
+    ``csv`` module's dict reader keeps.  The cyclic garbage collector is
+    paused while the rows are made: they hold no cycles, and its passes
+    over them took two thirds of a 2**20-row read (3.3 s against 1.2 s
+    without).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [*filter(None, reader)]
+        columns = list(zip_longest(*rows))
+    finally:
+        if enabled:
+            gc.enable()
+    short = (None,) * len(rows)
+    return {name: columns[k] if k < len(columns) else short for k, name in enumerate(header)}
+
+
+def column(path, columns, name: str) -> Sequence[str]:
+    """Column ``name`` of :func:`read_csv`'s ``columns``, a field in every row.
+
+    ``ValueError`` names the file and the column if the header has no
+    such column, and the line of the first row too short to reach it.
+    """
+    if name not in columns:
+        raise ValueError(f"{path} has no {name!r} column")
+    cells = columns[name]
+    if None in cells:
+        line = _line(path, cells.index(None))
+        raise ValueError(f"{path} has a short row on line {line}, without a {name!r} field")
+    return cells
+
+
+def float_column(path, columns, name: str) -> np.ndarray:
+    """:func:`column` ``name``, each field converted as ``float`` converts it.
+
+    ``ValueError`` names the file, the column and the line of the first
+    field that is not a number, and the field.
+    """
+    cells = column(path, columns, name)
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        row = next(k for k, cell in enumerate(cells) if not _is_number(cell))
+        raise ValueError(
+            f"{path} has a {name} that is not a number on line {_line(path, row)}: "
+            f"{cells[row]!r}"
+        ) from None
+
+
+def _line(path, row: int) -> int:
+    """The line of a CSV file on which its row ``row`` ends.
+
+    Rows are numbered from 0 after the header, blank lines skipped, as in
+    :func:`read_csv`; lines from 1, as ``csv.reader.line_num`` counts them.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
 
 
 class _Echo:

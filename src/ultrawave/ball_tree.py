@@ -320,15 +320,6 @@ class BallTree:
     def total_measure(self) -> float:
         return float(self.measure[0])
 
-    def leaf_index(self, leaf_id: str) -> int:
-        try:
-            b = self._find(leaf_id)
-        except KeyError:
-            b = None
-        if b is None or self.child_count[b]:
-            raise ValueError(f"not a leaf of this tree: {leaf_id!r}")
-        return int(self.leaf_start[b])
-
     def leaf_slice(self, ball_id: str) -> slice:
         """Contiguous range of canonical leaf indices below a ball."""
         b = self.index(ball_id)

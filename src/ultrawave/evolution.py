@@ -35,17 +35,14 @@ is contiguous.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import gc
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
-from .artifacts import csv_fields, write_csv
+from .artifacts import column, csv_fields, float_column, read_csv, write_csv
 from .ball_tree import BallTree, BallValues, _require_finite
 from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, pair_matvec, symmetric_operator
 from .pdo import spectrum as build_spectrum
@@ -684,22 +681,23 @@ def read_leaf_values(path, tree: BallTree) -> np.ndarray:
     """Read a leaf-values CSV (columns leaf_id, re, im) in canonical order.
 
     Every leaf must appear exactly once and every value must be finite; an
-    empty or absent ``im`` reads as 0.  The rows are read as columns: ids
-    are matched in one pass (a file in canonical leaf order needs no
-    lookup) and each value column is converted in one call.
+    empty or absent ``im`` reads as 0.  The file is read as columns by
+    :func:`~.artifacts.read_csv`: ids are matched in one pass (a file in
+    canonical leaf order needs no lookup) and each value column is
+    converted in one call.
     """
-    header, columns = _csv_columns(path)
-    column = {name: k for k, name in enumerate(header)}
-    if columns and "leaf_id" not in column:
-        raise ValueError(f"{path} has no 'leaf_id' column")
-    ids = columns[column["leaf_id"]] if columns else ()
+    columns = read_csv(path)
+    ids = column(path, columns, "leaf_id")
     if len(ids) == tree.n_leaves and all(map(operator.eq, ids, tree.leaves)):
         leaf = np.arange(tree.n_leaves)  # canonical order: nothing to look up
     else:
         leaf = _leaf_rows(path, tree, ids)
+    im = columns.get("im", ())
+    if None in im or "" in im:
+        columns["im"] = [0.0 if cell is None or cell == "" else cell for cell in im]
     values = np.empty(tree.n_leaves, dtype=complex)
-    values.real[leaf] = _float_column(path, columns, column.get("re"), "re")
-    values.imag[leaf] = _float_column(path, columns, column.get("im"), "im", empty=0.0)
+    values.real[leaf] = float_column(path, columns, "re")
+    values.imag[leaf] = float_column(path, columns, "im") if "im" in columns else 0.0
     _require_finite(tree, values, f"value in {path}")
     return values
 
@@ -710,7 +708,7 @@ def _leaf_rows(path, tree: BallTree, ids) -> np.ndarray:
     is_leaf = balls >= 0
     is_leaf[is_leaf] = tree.child_count[balls[is_leaf]] == 0
     if not is_leaf.all():
-        tree.leaf_index(ids[np.argmin(is_leaf)])  # raises, naming the row's id
+        raise ValueError(f"{path} lists {ids[np.argmin(is_leaf)]!r}, not a leaf of this tree")
     leaf = tree.leaf_start[balls]
     first_rows = np.unique(leaf, return_index=True)[1]
     if first_rows.size < leaf.size:
@@ -723,39 +721,6 @@ def _leaf_rows(path, tree: BallTree, ids) -> np.ndarray:
         missing = tree.ids_of(tree.leaf_balls[~listed][:5]).tolist()
         raise ValueError(f"{path} is missing leaves: {missing!r}")
     return leaf
-
-
-def _csv_columns(path) -> tuple[list[str], list]:
-    """The header and the columns of a CSV file, as ``csv.reader`` reads it.
-
-    Blank lines are skipped and short rows padded with None.  The cyclic
-    garbage collector is paused while the rows are made: they hold no
-    cycles, and its passes over them took two thirds of a 2**20-row read
-    (3.3 s against 1.2 s without).
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            return next(reader, []), list(zip_longest(*filter(None, reader)))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _float_column(path, columns, k: int | None, name: str, empty: float | None = None):
-    """Column ``k`` converted as ``float`` converts each field.
-
-    A missing column or field, or an empty field, reads as ``empty`` when
-    that is given and is an error otherwise.
-    """
-    cells = columns[k] if k is not None and k < len(columns) else [None] * len(columns[0])
-    if None in cells or "" in cells:
-        if empty is None:
-            raise ValueError(f"{path} has a row without a {name!r} value")
-        cells = [empty if cell is None or cell == "" else cell for cell in cells]
-    return np.array(cells, dtype=float)
 
 
 #: Rows whose runs are found with one set of numpy calls and formatted

@@ -42,7 +42,6 @@ Chebyshev potential route in :mod:`.evolution`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import csv_fields, write_csv
+from .artifacts import column, csv_fields, float_column, read_csv, write_csv
 from .ball_tree import BallTree, BallValues, _is_number, internal_values
 from .wavelet import WaveletBasis
 
@@ -248,15 +247,6 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     return Spectrum(eigenvalues=BallValues(tree, lam))
 
 
-#: Rectangles of :func:`_sup_kernel` with at most this many entries are
-#: written together by one indexed assignment, the rest one slice at a
-#: time.  A slice costs about 1 us whatever its size: on the 2^11-leaf
-#: p = 2 preset, where 2560 of the 3070 rectangles have at most 16 entries,
-#: a slice each made the fill slower than writing whole leaf blocks.  At 64
-#: the index arrays raised the peak RSS of the dense oracle by about 1 MB.
-_SMALL_RECTANGLE = 16
-
-
 def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     """The n-by-n matrix T(sup(x, y)) over leaf pairs, each entry written once.
 
@@ -278,31 +268,22 @@ def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     parent = tree.parent[children]
     # rectangles of rows [top, bottom) by columns [left, right): one per run
     # of leaves, and two per internal child, its parent's columns left and
-    # right of its own (the first child has none left, the last none right)
+    # right of its own
     top = np.concatenate([runs, start[children], start[children]])
     bottom = np.concatenate([np.append(runs, n)[1:], stop[children], stop[children]])
     left = np.concatenate([start[run_parent], start[parent], stop[children]])
     right = np.concatenate([stop[run_parent], start[children], stop[parent]])
     value = np.concatenate([t[run_parent], t[parent], t[parent]])
-    width = right - left
-    area = (bottom - top) * width
+    # the first child has no columns left of it and the last none right: on
+    # the p = 2 preset that drops 2046 of 5116 slices, each about 1 us
+    wide = left < right
     sup_kernel = np.zeros((n, n))
-    small = area <= _SMALL_RECTANGLE
-    sizes = area[small]
-    # each small rectangle's entries in row-major order, numbered from 0 within it
-    cell = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    row_width = np.repeat(width[small], sizes)
-    sup_kernel[
-        np.repeat(top[small], sizes) + cell // row_width,
-        np.repeat(left[small], sizes) + cell % row_width,
-    ] = np.repeat(value[small], sizes)
-    big = ~small
     for first, last, first_col, last_col, v in zip(
-        top[big].tolist(),
-        bottom[big].tolist(),
-        left[big].tolist(),
-        right[big].tolist(),
-        value[big].tolist(),
+        top[wide].tolist(),
+        bottom[wide].tolist(),
+        left[wide].tolist(),
+        right[wide].tolist(),
+        value[wide].tolist(),
     ):
         sup_kernel[first:last, first_col:last_col] = v
     return sup_kernel
@@ -350,12 +331,6 @@ def pair_matvec(tree: BallTree, kernel: SupKernel):
     return matvec
 
 
-#: Entries of S scaled at a time by :func:`symmetric_operator`.  Blocks of
-#: 256 KB leave the peak RSS as it was with one n-by-n temporary; blocks of
-#: 4 MB stayed resident after use and raised it by 3 MB at 2048 leaves.
-_SCALE_BLOCK = 32768
-
-
 def symmetric_operator(
     tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None
 ) -> np.ndarray:
@@ -374,11 +349,9 @@ def symmetric_operator(
     diagonal = sym @ nu - sym.diagonal() * nu
     if potential is not None:
         diagonal += potential
-    # np.outer(-r, r) a block of rows at a time, not as a second n-by-n array
-    step = max(1, _SCALE_BLOCK // len(r))
-    for start in range(0, len(r), step):
-        rows = slice(start, start + step)
-        sym[rows] *= np.outer(-r[rows], r)
+    # np.outer(-r, r) a row at a time, not as a second n-by-n array
+    for x, row in enumerate(sym):
+        row *= -r[x] * r
     np.fill_diagonal(sym, diagonal)
     return sym
 
@@ -498,22 +471,11 @@ def read_spectrum(path) -> dict[str, float]:
     The file needs ``ball_id`` and ``lambda`` columns, every row a value in
     both, and lists each ball once; ``ValueError`` names the file otherwise.
     """
-    values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.DictReader(fh)
-        for column in ("ball_id", "lambda"):
-            if column not in (rows.fieldnames or ()):
-                raise ValueError(f"{path} has no {column!r} column")
-        for row in rows:
-            ball_id, lam = row["ball_id"], row["lambda"]
-            if ball_id is None or lam is None:
-                raise ValueError(f"{path} has a short row on line {rows.line_num}")
-            if ball_id in values:
-                raise ValueError(f"{path} lists ball {ball_id!r} more than once")
-            try:
-                values[ball_id] = float(lam)
-            except ValueError:
-                raise ValueError(
-                    f"{path} has a lambda that is not a number on line {rows.line_num}: {lam!r}"
-                ) from None
+    columns = read_csv(path)
+    ids = column(path, columns, "ball_id")
+    values = dict(zip(ids, float_column(path, columns, "lambda").tolist()))
+    if len(values) < len(ids):
+        seen = set()
+        repeated = next(ball_id for ball_id in ids if ball_id in seen or seen.add(ball_id))
+        raise ValueError(f"{path} lists ball {repeated!r} more than once")
     return values

@@ -264,6 +264,8 @@ def test_malformed_expected_spectrum_is_a_usage_error(
     )
     assert rc == 2
     assert f"{expected} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 def test_spectrum_nan_expected_values_are_a_mismatch(tree_file, kernel_file, tmp_path, capsys):
@@ -483,6 +485,36 @@ def test_evolve_names_the_file_that_misses_a_leaf(tree_file, kernel_file, tmp_pa
     )
     assert rc == 2
     assert f"{potential} is missing leaves: ['r.1.1']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("r.0.1,abc,0", "has a re that is not a number on line 3: 'abc'"),
+        ("r.0.1,,0", "has a re that is not a number on line 3: ''"),
+        ("r.0.1", "has a short row on line 3, without a 're' field"),
+        ("zz,2,0", "lists 'zz', not a leaf of this tree"),
+    ],
+    ids=["re-not-a-number", "empty-re", "short-row", "unknown-leaf"],
+)
+@pytest.mark.parametrize("bad", ["initial", "potential"])
+def test_malformed_leaf_file_is_a_usage_error_naming_the_file(
+    tree_file, kernel_file, tmp_path, capsys, bad, row, message
+):
+    files = {name: tmp_path / f"{name}.csv" for name in ("initial", "potential")}
+    for name, path in files.items():
+        second = row if name == bad else "r.0.1,2,0"
+        path.write_text(f"leaf_id,re,im\r\nr.0.0,1,0\r\n{second}\r\nr.1.0,3,0\r\nr.1.1,4,0\r\n")
+    rc = main(
+        [
+            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
+            "--initial", str(files["initial"]), "--mode", "potential",
+            "--potential", str(files["potential"]), "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert f"{files[bad]} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_rejects_non_finite_potential(tree_file, kernel_file, tmp_path, capsys):

@@ -450,3 +450,25 @@ def test_sup_kernel_matches_the_whole_block_fill(caterpillar, star):
         np.testing.assert_array_equal(
             _sup_kernel(tree, kernel), _reference_sup_kernel(tree, kernel), strict=True
         )
+
+
+def test_symmetric_operator_is_the_scaled_sup_kernel_bitwise(caterpillar, star):
+    trees = [
+        random_tree(np.random.default_rng([29, seed]), max_leaves=200, max_children=8)
+        for seed in range(8)
+    ]
+    one_leaf = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),)))
+    trees += [caterpillar(300), star(500), one_leaf]
+    rng = np.random.default_rng(30)
+    for tree in trees:
+        kernel = random_kernel(rng, tree)
+        nu = tree.leaf_measures
+        r = np.sqrt(nu)
+        sup_kernel = _sup_kernel(tree, kernel)
+        m_diagonal = sup_kernel @ nu - sup_kernel.diagonal() * nu
+        for u in (None, rng.uniform(-5.0, 5.0, tree.n_leaves)):
+            reference = sup_kernel * np.outer(-r, r)
+            np.fill_diagonal(reference, m_diagonal if u is None else m_diagonal + u)
+            sym = symmetric_operator(tree, kernel, u)
+            np.testing.assert_array_equal(sym, reference, strict=True)
+            np.testing.assert_array_equal(sym, sym.T, strict=True)

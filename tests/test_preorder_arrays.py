@@ -413,7 +413,7 @@ def test_leaf_values_read_in_any_row_order_with_optional_im(tmp_path):
     with pytest.raises(ValueError, match=r"missing leaves: \['r\.0\.1'\]"):
         uw.evolution.read_leaf_values(path, tree)
     path.write_text("leaf_id,re\nr.1.1,4\nr.0.0,1e-3\nr.1.0,3\nr.0.1,0x1\n")
-    with pytest.raises(ValueError, match="could not convert"):
+    with pytest.raises(ValueError, match=r"v\.csv has a re that is not a number on line 5: '0x1'"):
         uw.evolution.read_leaf_values(path, tree)
     path.write_text("leaf_id,re\nr.1.1,4\nr.0.0,1e-3\nr.1.0,3\nr.0.1,-2\n")
     values = uw.evolution.read_leaf_values(path, tree)
@@ -469,6 +469,44 @@ def test_leaf_values_reader_matches_the_csv_module_on_loose_files(tmp_path, text
     path = tmp_path / "v.csv"
     path.write_bytes(text.encode())
     assert _same_bits(uw.evolution.read_leaf_values(path, tree), _reference_read(path, tree))
+
+
+def _reference_read_spectrum(path):
+    """The earlier spectrum reader: one ``csv.DictReader`` row at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [(row["ball_id"], repr(float(row["lambda"]))) for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # as write_spectrum writes it: CRLF, ids with csv's minimal quoting
+        "ball_id,p_I,lambda\r\nplain,2,1.5\r\n\"a,b\",2,2\r\n\"q\"\"x\",2,-0.0\r\n"
+        "\"c\r\nd\",2,4e300\r\n sp ,2,5\r\nx\ty,2,nan\r\n",
+        # LF, blank lines, columns reordered, an extra column, a row past the header
+        "lambda,extra,ball_id\n\n6,z,x\ty\n1.5,z,plain,more\n2,z,\"a,b\"\n3,z,\"q\"\"x\"\n"
+        "4,z,\"c\r\nd\"\n\n 5 ,z, sp \n",
+        # CR line ends, a row too short for an unread column
+        "lambda,ball_id,p_I\r1,r\r1.5,r.0,2\r1.5,r.1\r",
+    ],
+    ids=["crlf-quoted", "lf-loose", "cr-short"],
+)
+def test_spectrum_reader_matches_the_csv_module(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    values = [(ball, repr(value)) for ball, value in uw.pdo.read_spectrum(path).items()]
+    assert values == _reference_read_spectrum(path)
+
+
+def test_bad_field_is_reported_on_the_line_the_csv_module_counts(tmp_path):
+    # a blank line and a quoted line break before it: the bad field is on line 5
+    path = tmp_path / "s.csv"
+    path.write_bytes(b'ball_id,lambda\r\n\r\n"c\r\nd",1\r\nr,abc\r\n')
+    with pytest.raises(ValueError, match=r"s\.csv has a lambda that is not a number on line 5: 'abc'"):
+        uw.pdo.read_spectrum(path)
+    path.write_bytes(b'ball_id,lambda\r\n\r\n"c\r\nd",1\r\nr\r\n')
+    with pytest.raises(ValueError, match=r"s\.csv has a short row on line 5, without a 'lambda'"):
+        uw.pdo.read_spectrum(path)
 
 
 def _tiny_diameter_tree(tmp_path):
