@@ -297,13 +297,6 @@ class BallTree:
             terms[level] += terms[above]
         return terms
 
-    def internal_position(self, ball_id: str) -> int:
-        """Position of an internal ball among ``internal``; ``KeyError`` otherwise."""
-        b = self._find(ball_id)
-        if not self.child_count[b]:
-            raise KeyError(ball_id)
-        return int(self.internal_rank[b])
-
     # -- basic access -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -413,7 +406,11 @@ class BallValues(Mapping):
         self.array = _frozen(a)
 
     def __getitem__(self, ball_id: str) -> float:
-        return float(self.array[self.tree.internal_position(ball_id)])
+        """The value of an internal ball; ``KeyError`` for a leaf or an unknown id."""
+        b = self.tree._find(ball_id)
+        if not self.tree.child_count[b]:
+            raise KeyError(ball_id)
+        return float(self.array[self.tree.internal_rank[b]])
 
     def __iter__(self):
         return iter(self.tree.internal)

@@ -115,8 +115,9 @@ def cmd_evolve(args) -> int:
         )
     # before any file is read: loading a large tree takes seconds
     if args.mode == "potential" and args.potential is None:
-        print("error: --mode potential requires --potential", file=sys.stderr)
-        return 2
+        raise ValueError("--mode potential requires --potential")
+    if args.mode != "potential" and args.potential is not None:
+        raise ValueError(f"--potential needs --mode potential; --mode {args.mode} ignores it")
     tree = build_tree(load_tree_spec(args.tree))
     kernel = _kernel_for(args, tree)
     values = read_leaf_values(args.initial, tree)

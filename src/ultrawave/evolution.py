@@ -6,7 +6,8 @@ exp(-i*hbar*lambda*t) or the decay exp(-lambda*t).  Because every wavelet
 lives inside its own ball and phases never mix coefficients, a mean-zero
 packet supported in a ball stays supported in that ball for all time;
 ``check_localization`` certifies this and can demonstrate, through the
-dense propagator, how a packet with nonzero mean leaks out.
+dense propagator, how a packet with nonzero mean leaks out, reading the
+wavelets that lie in the ball from their leaf ranges, ``WaveletBasis.support``.
 
 A real potential U couples the wavelets, so ``evolve_with_potential``
 applies exp(-i t H / hbar) as a Chebyshev expansion (``chebyshev_expm``):
@@ -87,9 +88,6 @@ class WavePacket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
-    def with_coefficients(self, coefficients) -> "WavePacket":
-        return dataclasses.replace(self, coefficients=np.asarray(coefficients, dtype=complex))
-
 
 def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[WavePacket]:
     """Free unitary evolution: coefficients rotate by exp(-i*hbar*lambda*t).
@@ -131,8 +129,8 @@ def _propagate(packet: WavePacket, rate: complex, times) -> list[WavePacket]:
     over = "ignore" if rate.imag == 0 and rate.real < 0 else np.geterr()["over"]
     with np.errstate(over=over):
         return [
-            packet.with_coefficients(packet.coefficients * np.exp(rate * lam * t))
-            for t in times
+            dataclasses.replace(packet, coefficients=np.asarray(c, dtype=complex))
+            for c in (packet.coefficients * np.exp(rate * lam * t) for t in times)
         ]
 
 
@@ -146,7 +144,7 @@ def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 class DensePropagator:
-    """exp(scale * H) applied through the eigendecomposition of H.
+    """exp(-i*hbar*t*H) applied through the eigendecomposition of H.
 
     H is the kernel's operator, optionally plus a real diagonal
     ``potential`` (one value per leaf), built from the pair definition by
@@ -163,16 +161,12 @@ class DensePropagator:
             symmetric_operator(tree, kernel, potential).T
         )
 
-    def expm_apply(self, values, scale: complex) -> np.ndarray:
-        """Return exp(scale * H) applied to a leaf function."""
+    def schrodinger(self, values, t: float, hbar: float = 1.0) -> np.ndarray:
+        """exp(-i*hbar*t*H) applied to a leaf function, matching the free spectral route."""
         v = self.tree.as_leaf_values(values)
         sym = real_matvec(self._eigenvectors.T, self._root_weights * v)
-        sym = np.exp(scale * self._eigenvalues) * sym
+        sym = np.exp(-1j * hbar * t * self._eigenvalues) * sym
         return real_matvec(self._eigenvectors, sym) / self._root_weights
-
-    def schrodinger(self, values, t: float, hbar: float = 1.0) -> np.ndarray:
-        """Unitary evolution exp(-i*hbar*t*H) matching the free spectral route."""
-        return self.expm_apply(values, -1j * hbar * t)
 
 
 def evolve_with_potential(
@@ -554,10 +548,9 @@ def check_localization(
         coefficient_leak = float(np.max(np.abs(packet.coefficients), initial=0.0))
         outside = np.ones(tree.n_leaves, dtype=bool)
     else:
-        plan = basis.plan
+        start, _, stop = basis.support()
         inside = np.append(
-            (plan.ball_start >= tree.leaf_start[ball]) & (plan.child_stop <= tree.leaf_stop[ball]),
-            False,
+            (start >= tree.leaf_start[ball]) & (stop <= tree.leaf_stop[ball]), False
         )
         coefficient_leak = float(
             np.max(np.abs(packet.coefficients[~inside]), initial=0.0)
@@ -641,9 +634,15 @@ def spacetime_product_check(
             "product solutions require nonzero eigenvalues in both coordinates; "
             f"got lambda_x={lam_x}, lambda_t={lam_t}"
         )
-    u = _wavelet_vector(tree_x, ball_x, index_x)
-    v = _wavelet_vector(tree_t, ball_t, index_t)
-    grid = np.outer(u, v)
+    rows = []
+    for tree, ball_id, index in ((tree_x, ball_x, index_x), (tree_t, ball_t, index_t)):
+        basis = build_basis(tree)
+        # a ball's wavelets are consecutive in the basis, by index from 1
+        mine = np.flatnonzero(basis.plan.ball == tree.internal_rank[tree.index(ball_id)])
+        if not 1 <= index <= mine.size:
+            raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
+        rows.append(basis.matrix[mine[index - 1]])
+    grid = np.outer(*rows)
     m_x = dense_operator(tree_x, kernel_x)
     m_t = dense_operator(tree_t, kernel_t)
     residual = (grid @ m_t.T) / lam_t - (m_x @ grid) / lam_x
@@ -658,20 +657,6 @@ def spacetime_product_check(
         eigenvalue_x=lam_x,
         eigenvalue_t=lam_t,
     )
-
-
-def _wavelet_vector(tree: BallTree, ball_id: str, index: int) -> np.ndarray:
-    """Leaf values of the basis wavelet with ``index`` in ball ``ball_id``."""
-    plan = build_basis(tree).plan
-    (ball,) = tree.positions([ball_id])
-    mine = np.flatnonzero(tree.internal_balls[plan.ball] == ball).tolist()
-    k = next((k for k in mine if plan.index[k] == index), None)
-    if k is None:
-        raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
-    v = np.zeros(tree.n_leaves)
-    v[plan.ball_start[k] : plan.child_start[k]] = plan.pos[k]
-    v[plan.child_start[k] : plan.child_stop[k]] = plan.neg[k]
-    return v
 
 
 # -- CSV artifacts -----------------------------------------------------------

@@ -15,8 +15,8 @@ Kernels and spectra are :class:`~.ball_tree.BallValues`: one float per
 internal ball, in an array over the tree's internal balls in preorder,
 bound to that tree.  Id-keyed kernel values enter only through
 ``make_kernel`` (and ``load_kernel``).  ``spectrum`` fills the whole array
-with the tree's root-down sweep ``BallTree.path_sums``, adding the same
-terms in the same order as the per-ball path sum of ``eigenvalue``, and
+from the descent sums that ``pair_matvec`` shares, one ``BallTree.path_sums``,
+adding the same terms in the same order as the path sum of ``eigenvalue``, and
 ``Spectrum.for_basis`` is one gather by the basis plan's ball indices.
 
 ``dense_operator`` builds the full leaf-by-leaf matrix M straight from the
@@ -222,8 +222,18 @@ def _ball_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     return t
 
 
+def _descent_sums(tree: BallTree, t: np.ndarray) -> np.ndarray:
+    """Per ball B, a(B) = sum T(P) (nu(P) - nu(C)) over the parent-child pairs
+    (P, C) on the path from the root down to B, from the tree's root-down
+    :meth:`~.BallTree.path_sums`; ``t`` is :func:`_ball_kernel`'s T per ball.
+    """
+    parent = np.maximum(tree.parent, 0)  # the root is its own parent and adds T(root) * 0
+    nu = tree.measure
+    return tree.path_sums(t[parent] * (nu[parent] - nu))
+
+
 def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
-    """Eigenvalues of every internal ball, from the tree's root-down :meth:`~.BallTree.path_sums`.
+    """Eigenvalues of every internal ball, from the descent sums a(B).
 
     With a(root) = 0 and a(B) = a(P) + T(P) (nu(P) - nu(B)) for a child B of
     P, the eigenvalue of B is a(B) + T(B) nu(B): the same additions, in the
@@ -233,11 +243,9 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     """
     t = _ball_kernel(tree, kernel)
     nu = tree.measure
-    parent = np.maximum(tree.parent, 0)  # the root is its own parent and adds T(root) * 0
     internal = tree.internal_balls
     with np.errstate(over="ignore", invalid="ignore"):
-        a = tree.path_sums(t[parent] * (nu[parent] - nu))
-        lam = a[internal] + t[internal] * nu[internal]
+        lam = _descent_sums(tree, t)[internal] + t[internal] * nu[internal]
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
         raise ValueError(
@@ -313,15 +321,16 @@ def pair_matvec(tree: BallTree, kernel: SupKernel):
     a(x) = sum T(P) (nu(P) - nu(C)) and b(x) = sum T(P) (I(P) - I(C)) over
     the parent-child pairs on x's path.  Each product takes I from the
     tree's bottom-up :meth:`~.BallTree.ball_integrals` and b from its
-    top-down :meth:`~.BallTree.path_sums`; a is summed once, the same way.
-    It uses no wavelet and no eigenvalue, so it is independent of both.
+    top-down :meth:`~.BallTree.path_sums`; a is :func:`spectrum`'s
+    :func:`_descent_sums`.  It uses no wavelet and no eigenvalue, so it is
+    independent of both.
     """
-    parent = np.maximum(tree.parent, 0)  # the root, ball 0, is its own parent
-    t_parent = _ball_kernel(tree, kernel)[parent]
-    t_parent[0] = 0.0  # and no pair of points has its sup above the root
-    nu = tree.measure
+    t = _ball_kernel(tree, kernel)
     leaves, leaf_nu = tree.leaf_balls, tree.leaf_measures
-    a = tree.path_sums(t_parent * (nu[parent] - nu))[leaves]
+    a = _descent_sums(tree, t)[leaves]
+    parent = np.maximum(tree.parent, 0)  # the root, ball 0, is its own parent
+    t_parent = t[parent]
+    t_parent[0] = 0.0  # and no pair of points has its sup above the root
 
     def matvec(f: np.ndarray) -> np.ndarray:
         integral = tree.ball_integrals(f * leaf_nu)
@@ -435,7 +444,7 @@ def verify_spectrum(
     lam = spec.for_basis(basis)
     sym *= r[:, None]
     residual = basis.matrix_times(sym)
-    wavelet, leaf, value = basis.plan.support()
+    wavelet, leaf, value = basis._entries()
     residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
     residual[-1] -= lam[-1] * basis.plan.constant * r
     residual_norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))

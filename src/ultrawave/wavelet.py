@@ -12,24 +12,25 @@ unit-norm constraints.  For a two-child ball with equal masses this is the
 classical Haar pair (+1, -1); any other orthonormal choice inside a ball
 spans the same space and leaves every operator in :mod:`.pdo` diagonal.
 
-A basis is stored as a :class:`TransformPlan`: per wavelet two leaf ranges,
-the Helmert pair and the ball of its child, plus a scan schedule over
-siblings, O(n) numbers for n leaves.  ``analyze`` and ``synthesize`` run in
-O(n) on the tree's two sweeps, with every per-ball array in the tree's
-preorder ball numbering: ``analyze`` takes ball integrals of f * nu
-bottom-up (``BallTree.ball_integrals``), ``synthesize`` sums values down
-each root path (``BallTree.path_sums``).  Partial sums over siblings come
-from a work-efficient (Blelloch) scan, so each is a balanced tree of
-additions and rounding grows with depth and the log of the arity, not
-with n.
+A basis is stored as a :class:`TransformPlan`: per wavelet the ball of its
+child and its Helmert pair, plus a scan schedule over siblings, O(n)
+numbers for n leaves; the leaf ranges a wavelet covers are the tree's, and
+``WaveletBasis.support`` reads them off the tree.  ``analyze`` and
+``synthesize`` run in O(n) on the tree's two sweeps, with every per-ball
+array in the tree's preorder ball numbering: ``analyze`` takes ball
+integrals of f * nu bottom-up (``BallTree.ball_integrals``),
+``synthesize`` sums values down each root path (``BallTree.path_sums``).
+Partial sums over siblings come from a work-efficient (Blelloch) scan, so
+each is a balanced tree of additions and rounding grows with depth and the
+log of the arity, not with n.
 
 The dense oracles work from the same plan.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
 per column of ``y``, without building ``matrix``; ``gram`` is one such
 product.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
 rebuilt on every access, so hold one reference per use); it exists for the
-transform cross-check and tests.  Wavelet k's ball and index are
-``plan.ball[k]`` and ``plan.index[k]``.
+transform cross-check and tests.  Wavelet k belongs to internal ball
+``plan.ball[k]``; a ball's wavelets are consecutive, in index order from 1.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ from .ball_tree import BallTree, running_sums
 class TransformPlan:
     """Everything a wavelet basis stores, as read-only arrays.
 
-    Wavelet k belongs to ball ``tree.internal[ball[k]]`` with index
-    ``index[k]`` = j.  It equals ``pos[k]`` on leaves
-    ``[ball_start[k], child_start[k])`` (children 1..j of the ball),
-    ``neg[k]`` on leaves ``[child_start[k], child_stop[k])`` (child j+1) and
-    zero elsewhere.  ``child[k]`` is the tree's ball number of child j+1.
+    Wavelet k with index j belongs to ball ``tree.internal[ball[k]]``.  It
+    equals ``pos[k]`` on children 1..j of the ball, ``neg[k]`` on child
+    j+1, whose ball number in the tree is ``child[k]``, and zero elsewhere.
     ``constant`` is the value of the normalized constant.
 
     ``scan`` pairs sibling blocks for :func:`_sibling_sums`: level L joins
@@ -63,30 +62,11 @@ class TransformPlan:
     """
 
     ball: np.ndarray
-    index: np.ndarray
-    ball_start: np.ndarray
-    child_start: np.ndarray
-    child_stop: np.ndarray
+    child: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
     constant: float
-    child: np.ndarray
     scan: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every nonzero wavelet value as flat arrays ``(wavelet, leaf, value)``.
-
-        One entry per leaf of each wavelet's support, wavelets in order; the
-        constant element is not included.
-        """
-        length = self.child_stop - self.ball_start
-        wavelet = np.repeat(np.arange(len(length)), length)
-        shift = np.repeat(self.ball_start - (np.cumsum(length) - length), length)
-        leaf = np.arange(wavelet.size) + shift
-        value = np.where(
-            leaf < self.child_start[wavelet], self.pos[wavelet], self.neg[wavelet]
-        )
-        return wavelet, leaf, value
 
 
 class WaveletBasis:
@@ -111,6 +91,29 @@ class WaveletBasis:
         v.flags.writeable = False
         return v
 
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each wavelet's leaf ranges ``(start, split, stop)``, in basis order.
+
+        Wavelet k is ``pos[k]`` on leaves ``[start[k], split[k])``, the
+        children of its ball before its child, ``neg[k]`` on leaves
+        ``[split[k], stop[k])``, its child, and zero elsewhere: the tree's
+        leaf ranges of the wavelet's ball and child.
+        """
+        tree, child = self.tree, self.plan.child
+        ball = tree.internal_balls[self.plan.ball]
+        return tree.leaf_start[ball], tree.leaf_start[child], tree.leaf_stop[child]
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`support` as every nonzero wavelet value, in flat arrays
+        ``(wavelet, leaf, value)``, wavelets in order; the constant is not included."""
+        start, split, stop = self.support()
+        length = stop - start
+        wavelet = np.repeat(np.arange(len(length)), length)
+        shift = np.repeat(start - (np.cumsum(length) - length), length)
+        leaf = np.arange(wavelet.size) + shift
+        value = np.where(leaf < split[wavelet], self.plan.pos[wavelet], self.plan.neg[wavelet])
+        return wavelet, leaf, value
+
     @property
     def matrix(self) -> np.ndarray:
         """Basis vectors as rows, shape (size, n_leaves), constant last.
@@ -119,7 +122,7 @@ class WaveletBasis:
         read-only.
         """
         m = np.zeros((self.size, self.tree.n_leaves))
-        wavelet, leaf, value = self.plan.support()
+        wavelet, leaf, value = self._entries()
         m[wavelet, leaf] = value
         m[-1] = self.plan.constant
         m.flags.writeable = False
@@ -203,10 +206,10 @@ class WaveletBasis:
         """Measure-weighted Gram matrix; identity for a correct basis.
 
         ``matrix_times`` of the n-by-size array diag(nu) matrix^T, which is
-        filled from the plan's supports.
+        filled from the wavelets' supports.
         """
         nu = self.tree.leaf_measures
-        wavelet, leaf, value = self.plan.support()
+        wavelet, leaf, value = self._entries()
         weighted = np.zeros((self.tree.n_leaves, self.size))
         weighted[leaf, wavelet] = nu[leaf] * value
         weighted[:, -1] = nu * self.plan.constant
@@ -301,14 +304,10 @@ def build_basis(tree: BallTree) -> WaveletBasis:
     total = head + tail
     plan = TransformPlan(
         ball=_frozen(tree.internal_rank[up[wavelet]], np.intp),
-        index=_frozen(rank[wavelet], np.intp),
-        ball_start=_frozen(tree.leaf_start[up[wavelet]], np.intp),
-        child_start=_frozen(tree.leaf_start[child], np.intp),
-        child_stop=_frozen(tree.leaf_stop[child], np.intp),
+        child=_frozen(child, np.intp),
         pos=_frozen(_helmert_weight(head, tail, total), float),
         neg=_frozen(-_helmert_weight(tail, head, total), float),
         constant=1.0 / math.sqrt(tree.total_measure),
-        child=_frozen(child, np.intp),
         scan=_scan_schedule(tree.kids, rank, count - 1 - rank),
     )
     return WaveletBasis(tree, plan)

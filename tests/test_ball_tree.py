@@ -333,3 +333,12 @@ def test_tree_is_immutable():
         tree.leaf_measures[0] = 7.0
     with pytest.raises(ValueError):
         tree.measure[0] = 2.0
+
+
+def test_ball_values_read_internal_balls_by_id(binary_tree, binary_kernel):
+    values = binary_kernel.values
+    assert [values[ball] for ball in binary_tree.internal] == values.array.tolist()
+    for missing in ("r.0.1", "zz"):  # a leaf, and an id not in the tree
+        with pytest.raises(KeyError):
+            values[missing]
+        assert missing not in values and values.get(missing) is None

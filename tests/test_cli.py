@@ -455,6 +455,25 @@ def test_evolve_potential_mode_without_potential_is_reported_before_any_file_is_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["schrodinger", "heat"])
+def test_evolve_potential_without_potential_mode_is_reported_before_any_file_is_read(
+    tmp_path, capsys, mode
+):
+    rc = main(
+        [
+            "evolve", "--tree", str(tmp_path / "missing.json"), "--alpha", "0.5",
+            "--initial", str(tmp_path / "missing.csv"), "--mode", mode,
+            "--potential", str(tmp_path / "missing-potential.csv"),
+            "--times", "1", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --potential needs --mode potential; --mode {mode} ignores it\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["schrodinger", "potential"])
 def test_evolve_rejects_non_finite_initial_values(tree_file, kernel_file, tmp_path, capsys, mode):
     initial = _write_initial(tmp_path, [1.0, float("nan"), 0.5, -0.5])
@@ -463,7 +482,8 @@ def test_evolve_rejects_non_finite_initial_values(tree_file, kernel_file, tmp_pa
     rc = main(
         [
             "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--initial", str(initial), "--mode", mode, "--potential", str(potential),
+            "--initial", str(initial), "--mode", mode,
+            *(["--potential", str(potential)] if mode == "potential" else []),
             "--times", "1", "--out", str(tmp_path / "out"),
         ]
     )
@@ -595,7 +615,8 @@ def test_evolve_rejects_an_infinite_hbar(tree_file, kernel_file, tmp_path, capsy
     rc = main(
         [
             "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--initial", str(initial), "--mode", mode, "--potential", str(potential),
+            "--initial", str(initial), "--mode", mode,
+            *(["--potential", str(potential)] if mode == "potential" else []),
             "--times", "0,1", "--hbar", "inf", "--out", str(out),
         ]
     )
@@ -626,7 +647,8 @@ def test_evolve_rejects_a_time_whose_phase_overflows(
     rc, caught = _run_recording_warnings(
         [
             "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--initial", str(initial), "--mode", mode, "--potential", str(potential),
+            "--initial", str(initial), "--mode", mode,
+            *(["--potential", str(potential)] if mode == "potential" else []),
             "--times", "0,1.7e308", "--out", str(out),
         ]
     )

@@ -120,7 +120,7 @@ def _reference_scan(groups: list) -> tuple:
 
 def _reference_plan(ref: dict) -> dict:
     ball_of = {ball_id: b for b, ball_id in enumerate(ref["order"])}
-    ball, index, ball_start, child_start, child_stop = [], [], [], [], []
+    ball, ball_start, child_start, child_stop = [], [], [], []
     head, tail, child_ball = [], [], []
     for b, ball_id in enumerate(ref["internal"]):
         children = ref["children"][ball_id]
@@ -132,7 +132,6 @@ def _reference_plan(ref: dict) -> dict:
                 mass = measure
                 continue
             ball.append(b)
-            index.append(j)
             ball_start.append(start)
             child_start.append(ref["span"][child][0])
             child_stop.append(ref["span"][child][1])
@@ -144,8 +143,8 @@ def _reference_plan(ref: dict) -> dict:
     total = head_arr + tail_arr
     groups = [[ball_of[c] for c in ref["children"][b]] for b in ref["internal"]]
     return {
-        "ball": np.array(ball), "index": np.array(index), "ball_start": np.array(ball_start),
-        "child_start": np.array(child_start), "child_stop": np.array(child_stop),
+        "ball": np.array(ball),
+        "support": tuple(np.array(a) for a in (ball_start, child_start, child_stop)),
         "pos": _helmert_weight(head_arr, tail_arr, total),
         "neg": -_helmert_weight(tail_arr, head_arr, total),
         "constant": 1.0 / math.sqrt(ref["measure"][ref["root"]]),
@@ -257,11 +256,12 @@ def test_arrays_match_the_per_ball_reference_bitwise(shape):
     assert _same_bits(spec_values.array, [ref_spectrum[b] for b in ref["internal"]])
     assert dict(spec_values.items()) == ref_spectrum
 
-    plan = uw.build_basis(tree).plan
+    basis = uw.build_basis(tree)
+    plan = basis.plan
     ref_plan = _reference_plan(ref)
-    for name in ("ball", "index", "ball_start", "child_start", "child_stop", "pos", "neg",
-                 "child"):
+    for name in ("ball", "pos", "neg", "child"):
         assert _same_bits(getattr(plan, name), ref_plan[name]), name
+    assert all(_same_bits(g, w) for g, w in zip(basis.support(), ref_plan["support"], strict=True))
     assert plan.constant == ref_plan["constant"]
     assert len(plan.scan) == len(ref_plan["scan"])
     for got, want in zip(plan.scan, ref_plan["scan"]):

@@ -71,9 +71,14 @@ def test_ternary_ball_spans_mean_zero_space():
 
 def test_basis_ordering(binary_tree):
     basis = uw.build_basis(binary_tree)
-    plan = basis.plan
-    balls = binary_tree.ids_of(binary_tree.internal_balls[plan.ball]).tolist()
-    assert list(zip(balls, plan.index.tolist())) == [("r", 1), ("r.0", 1), ("r.1", 1)]
+    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    # wavelet j of a ball is positive on its children 1..j, the leaves before the split
+    _, split, _ = basis.support()
+    index = [
+        sum(binary_tree.leaf_slice(child).stop <= s for child in _children(binary_tree, ball))
+        for ball, s in zip(balls, split.tolist())
+    ]
+    assert list(zip(balls, index)) == [("r", 1), ("r.0", 1), ("r.1", 1)]
     assert basis.size == 4  # the constant comes last
 
 
@@ -277,8 +282,13 @@ def _reference_matrix(tree):
 
 def test_matrix_matches_plain_formula_bitwise():
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        tree = random_tree(rng, min_leaves=2, max_leaves=150, max_children=7)
+    trees = [random_tree(rng, min_leaves=2, max_leaves=150, max_children=7) for _ in range(10)]
+    trees += [
+        _adversarial_tree("caterpillar", 150, 23),
+        _adversarial_tree("star", 150, 23),
+        uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),))),
+    ]
+    for tree in trees:
         np.testing.assert_array_equal(uw.build_basis(tree).matrix, _reference_matrix(tree))
 
 
