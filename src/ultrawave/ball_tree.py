@@ -218,11 +218,6 @@ class BallTree:
         return self._ids[self._row[balls]]
 
     @cached_property
-    def order(self) -> tuple[str, ...]:
-        """Every ball id in preorder."""
-        return tuple(self._ids[self._row].tolist())
-
-    @cached_property
     def leaves(self) -> tuple[str, ...]:
         """Leaf ids in canonical order."""
         return tuple(self.ids_of(self.leaf_balls).tolist())

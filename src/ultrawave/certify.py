@@ -16,7 +16,7 @@ negative controls to show the checks actually bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .pdo import (
 from .wavelet import WaveletBasis, build_basis, mean
 
 INJECTIONS = ("sign-bug", "tamper-spectrum")
+
+#: Most leaves of a random instance tree, small enough for the dense suites.
+_MAX_LEAVES = 200
 
 _TINY = 1e-300
 
@@ -284,9 +287,7 @@ def localization_checks(
     ball = candidates[int(rng.integers(len(candidates)))]
     values = random_mean_zero_packet(rng, tree, ball)
     config = EvolutionConfig(times=tuple(rng.uniform(0.0, 10.0, 5)))
-    report = check_localization(
-        values, tree, kernel, config, tol=1e-10, basis=basis, spec=spec
-    )
+    report = check_localization(values, tree, kernel, config, basis=basis, spec=spec)
     norm0 = max(report.initial_norm, _TINY)
     return [
         ("localization_precondition", 0.0 if report.mean_zero else 1.0, 0.0),
@@ -394,17 +395,7 @@ class CertificationReport:
             "instances": self.instances,
             "inject": self.inject,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "worst": c.worst,
-                    "tol": c.tol,
-                    "count": c.count,
-                    "worst_instance": c.worst_instance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
         }
 
 
@@ -414,13 +405,13 @@ def run_certification(
     tree: BallTree | None = None,
     kernel: SupKernel | None = None,
     inject: str | None = None,
-    max_leaves: int = 200,
 ) -> CertificationReport:
     """Run every property suite over a seeded instance stream.
 
-    A fixed ``tree`` (and optionally a fixed ``kernel``, built for that
-    tree) replaces the random tree in every instance; kernels still vary
-    unless pinned.
+    Random instance trees have at most ``_MAX_LEAVES`` leaves.  A fixed
+    ``tree`` (and optionally a fixed ``kernel``, built for that tree)
+    replaces the random tree in every instance; kernels still vary unless
+    pinned.
     ``inject`` applies a deliberate corruption so the run must fail.
     """
     if instances < 0:
@@ -434,7 +425,7 @@ def run_certification(
     aggregates: dict[str, CheckAggregate] = {}
     for index in range(instances):
         rng = np.random.default_rng([seed, index])
-        tree = fixed_tree or random_tree(rng, max_leaves=max_leaves, min_depth=2)
+        tree = fixed_tree or random_tree(rng, max_leaves=_MAX_LEAVES, min_depth=2)
         instance_kernel = kernel or random_kernel(rng, tree)
         basis = build_basis(tree)
         spec = spectrum(tree, instance_kernel)

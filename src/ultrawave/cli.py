@@ -74,6 +74,14 @@ def cmd_spectrum(args) -> int:
     # before the dense oracle runs and writes its outputs
     expected = None if args.expected is None else read_spectrum(args.expected)
     tree = build_tree(load_tree_spec(args.tree))
+    if expected is not None:
+        balls = tree.positions(expected)
+        stray = np.flatnonzero((balls < 0) | (tree.child_count[balls] == 0))
+        if stray.size:
+            raise ValueError(
+                f"{args.expected} lists {list(expected)[stray[0]]!r}, "
+                "not an internal ball of this tree"
+            )
     kernel = _kernel_for(args, tree)
     spec = spectrum(tree, kernel)
     basis = build_basis(tree)

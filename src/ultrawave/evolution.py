@@ -290,7 +290,7 @@ _KRYLOV_TOL = 1e-12
 _CHEBYSHEV_BLOCK = 16
 #: Largest half-width * max|t| that ``chebyshev_expm`` accepts; it takes about
 #: that many products.  At the bound the order search in
-#: ``_negligible_order`` takes 0.19 s and ``bessel_j`` fills 1.36e6 doubles
+#: ``_negligible_order`` takes 0.19 s and ``_bessel_j`` fills 1.36e6 doubles
 #: (11 MB) per time, plus 16 MB of coefficients per time (2-vCPU VM,
 #: Python 3.11); all grow linearly with it.  A product on the 4-leaf p = 2
 #: tree takes about 50 us, so the bound is about a minute of products even
@@ -402,20 +402,14 @@ def _negligible_order(x: float) -> int:
     return k
 
 
-def bessel_j(x: float, count: int) -> np.ndarray:
+def _bessel_j(x: float, count: int, order: int) -> np.ndarray:
     """J_0(x) .. J_{count-1}(x) for x >= 0, by Miller's backward recurrence.
 
-    The recurrence J_{k-1} = (2 k / x) J_k - J_{k+1} runs down from an order
-    where J is negligible (from 1 and 0 there, rescaled before it can
-    overflow) and is normalized by J_0 + 2 * sum_k J_{2k} = 1.
+    The recurrence J_{k-1} = (2 k / x) J_k - J_{k+1} runs down from
+    ``order = _negligible_order(x)``, where J is negligible (from 1 and 0
+    there, rescaled before it can overflow), and is normalized by
+    J_0 + 2 * sum_k J_{2k} = 1.
     """
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"Bessel argument must be finite and nonnegative, got {x}")
-    return _bessel_j(x, count, _negligible_order(x))
-
-
-def _bessel_j(x: float, count: int, order: int) -> np.ndarray:
-    """``bessel_j(x, count)`` given ``order = _negligible_order(x)``."""
     if x == 0:
         return (np.arange(count) == 0).astype(float)
     top = max(count, order) + 1
@@ -452,7 +446,6 @@ class LocalizationReport:
 
     support_ball: str | None
     mean_zero: bool
-    initial_mean_abs: float
     initial_norm: float
     coefficient_leak: float
     samples: tuple[LocalizationSample, ...]
@@ -472,16 +465,10 @@ class LocalizationReport:
             for s in self.samples
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "support_ball": self.support_ball or "empty",
-            "mean_zero": self.mean_zero,
-            "initial_mean_abs": self.initial_mean_abs,
-            "coefficient_leak": self.coefficient_leak,
-            "samples": [dataclasses.asdict(s) for s in self.samples],
-            "leakage_outside_mass": self.leakage_outside_mass,
-            "passed": self.passed,
-        }
+
+#: Relative tolerance of :func:`check_localization`: for the mean-zero
+#: precondition, the support threshold, and the leak and mean budgets.
+_LOCALIZATION_TOL = 1e-10
 
 
 def check_localization(
@@ -489,7 +476,6 @@ def check_localization(
     tree: BallTree,
     kernel: SupKernel,
     config: EvolutionConfig,
-    tol: float = 1e-10,
     basis: WaveletBasis | None = None,
     spec: Spectrum | None = None,
     demonstrate_leakage: bool = False,
@@ -502,10 +488,14 @@ def check_localization(
     expands purely over wavelets inside B, and evolution only rotates
     coefficient phases, so any excess shows an implementation bug.
 
-    A packet that is not mean zero is reported as a precondition failure
-    rather than an error; with ``demonstrate_leakage`` the dense propagator
-    is run to exhibit the mass actually escaping B.  Non-finite values
-    raise ``ValueError`` naming the leaf.
+    The packet counts as mean zero when |integral of f nu| is at most
+    ``_LOCALIZATION_TOL * sqrt(nu(B)) * ||f||_nu``: the mass a mean can
+    push out of B is bounded by |integral of f nu| / sqrt(nu(B)), so the
+    precondition is measured on B, not on the whole space.  A packet that
+    is not mean zero is reported as a precondition failure rather than an
+    error; with ``demonstrate_leakage`` the dense propagator is run to
+    exhibit the mass actually escaping B.  Non-finite values raise
+    ``ValueError`` naming the leaf.
     """
     v = tree.as_leaf_values(values)
     _require_finite(tree, v, "initial value")
@@ -516,11 +506,12 @@ def check_localization(
 
     norm0 = tree.norm(v)
     mean_scale = max(1.0, math.sqrt(tree.total_measure) * norm0)
-    mean0 = abs(mean(tree, v))
-    mean_zero = mean0 <= tol * mean_scale
     max_abs = float(np.max(np.abs(v), initial=0.0))
-    ball = tree._support_ball(v, tol * max_abs)
+    ball = tree._support_ball(v, _LOCALIZATION_TOL * max_abs)
     support = None if ball is None else tree.ids_of(ball)
+    # a zero packet has no ball, and its mean 0 meets the bound 0
+    ball_measure = 0.0 if ball is None else float(tree.measure[ball])
+    mean_zero = abs(mean(tree, v)) <= _LOCALIZATION_TOL * math.sqrt(ball_measure) * norm0
 
     leakage = None
     if not mean_zero:
@@ -534,11 +525,10 @@ def check_localization(
         return LocalizationReport(
             support_ball=support,
             mean_zero=False,
-            initial_mean_abs=mean0,
             initial_norm=norm0,
             coefficient_leak=0.0,
             samples=(),
-            tol=tol,
+            tol=_LOCALIZATION_TOL,
             mean_scale=mean_scale,
             leakage_outside_mass=leakage,
         )
@@ -570,13 +560,11 @@ def check_localization(
     return LocalizationReport(
         support_ball=support,
         mean_zero=True,
-        initial_mean_abs=mean0,
         initial_norm=norm0,
         coefficient_leak=coefficient_leak,
         samples=tuple(samples),
-        tol=tol,
+        tol=_LOCALIZATION_TOL,
         mean_scale=mean_scale,
-        leakage_outside_mass=leakage,
     )
 
 
@@ -597,15 +585,16 @@ class SpacetimeReport:
     """Residual of the product-solution identity on a space x time grid."""
 
     residual_norm: float
-    residual_max: float
     norm: float
     tol: float
-    eigenvalue_x: float
-    eigenvalue_t: float
 
     @property
     def passed(self) -> bool:
         return self.residual_norm <= self.tol * self.norm
+
+
+#: Largest residual norm of :func:`spacetime_product_check`, relative to the state's.
+_SPACETIME_TOL = 1e-10
 
 
 def spacetime_product_check(
@@ -617,7 +606,6 @@ def spacetime_product_check(
     kernel_t: SupKernel,
     ball_t: str,
     index_t: int,
-    tol: float = 1e-10,
 ) -> SpacetimeReport:
     """Verify a wavelet product solves the two-operator balance equation.
 
@@ -625,7 +613,7 @@ def spacetime_product_check(
     wavelets with nonzero eigenvalues lam_x and lam_t satisfies
     (D_t / lam_t - D_x / lam_x) applied to it = 0.  Both operators are
     applied densely on the product grid and the measure-weighted residual
-    norm is reported.
+    norm is reported, against ``_SPACETIME_TOL`` times the state's norm.
     """
     lam_x = eigenvalue(tree_x, kernel_x, ball_x)
     lam_t = eigenvalue(tree_t, kernel_t, ball_t)
@@ -649,14 +637,7 @@ def spacetime_product_check(
     weights = np.outer(tree_x.leaf_measures, tree_t.leaf_measures)
     norm = float(np.sqrt(np.sum(np.abs(grid) ** 2 * weights)))
     residual_norm = float(np.sqrt(np.sum(np.abs(residual) ** 2 * weights)))
-    return SpacetimeReport(
-        residual_norm=residual_norm,
-        residual_max=float(np.max(np.abs(residual), initial=0.0)),
-        norm=norm,
-        tol=tol,
-        eigenvalue_x=lam_x,
-        eigenvalue_t=lam_t,
-    )
+    return SpacetimeReport(residual_norm=residual_norm, norm=norm, tol=_SPACETIME_TOL)
 
 
 # -- CSV artifacts -----------------------------------------------------------
@@ -793,21 +774,17 @@ def _abs2(z: complex) -> float:
         return math.inf
 
 
-def write_summary(
-    path, tree: BallTree, times, states, reference_ball: str | int | None
-) -> None:
+def write_summary(path, tree: BallTree, times, states, reference_ball: int | None) -> None:
     """Per-time summary: columns time, norm, mean_re, mean_im, outside_mass,
     support_ball.
 
     ``outside_mass`` is measured relative to ``reference_ball`` (normally
-    the support of the initial state), given by id or by preorder number;
+    the support of the initial state), given by preorder number;
     ``support_ball`` is recomputed per time.
     """
     if reference_ball is None:
         outside = np.zeros(tree.n_leaves, dtype=bool)
     else:
-        if isinstance(reference_ball, str):
-            reference_ball = tree.index(reference_ball)
         outside = _outside_mask(tree, reference_ball)
     lines = []
     for t, state in zip(times, states):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Mapping
 
@@ -388,31 +388,26 @@ class SpectrumVerification:
         return self.residual_ok and self.multiset_ok
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "residual_tol": self.residual_tol,
-            "multiset_max_diff": self.multiset_max_diff,
-            "multiset_tol": self.multiset_tol,
-            "operator_norm": self.operator_norm,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
+
+
+#: Largest relative eigenrelation residual :func:`verify_spectrum` accepts.
+_RESIDUAL_TOL = 1e-10
+#: Largest absolute gap between the dense and the analytic eigenvalues it accepts.
+_MULTISET_TOL = 1e-8
 
 
 def verify_spectrum(
-    tree: BallTree,
-    kernel: SupKernel,
-    basis: WaveletBasis,
-    spec: Spectrum,
-    residual_tol: float = 1e-10,
-    multiset_tol: float = 1e-8,
+    tree: BallTree, kernel: SupKernel, basis: WaveletBasis, spec: Spectrum
 ) -> SpectrumVerification:
     """Check every basis element against the operator's dense matrix.
 
     Two independent comparisons: the eigenrelation residual
     ||M psi - lambda psi||_nu / max(1, ||M|| ||psi||_nu) per basis element,
-    and equality of the numerically computed eigenvalue multiset with the
-    analytic multiset (each ball's eigenvalue repeated once per wavelet,
-    plus 0 for the constant).
+    at most ``_RESIDUAL_TOL``, and equality of the numerically computed
+    eigenvalue multiset with the analytic multiset (each ball's eigenvalue
+    repeated once per wavelet, plus 0 for the constant), to within
+    ``_MULTISET_TOL``.  The report records both tolerances.
 
     Everything runs on one n-by-n buffer, the symmetric matrix
     S = diag(r) M diag(r)^-1 with r = sqrt(nu) of
@@ -458,9 +453,9 @@ def verify_spectrum(
     max_residual = float(np.max(residual_norms / scale, initial=0.0))
     return SpectrumVerification(
         max_residual=max_residual,
-        residual_tol=residual_tol,
+        residual_tol=_RESIDUAL_TOL,
         multiset_max_diff=multiset_max_diff,
-        multiset_tol=multiset_tol,
+        multiset_tol=_MULTISET_TOL,
         operator_norm=operator_norm,
     )
 

@@ -84,13 +84,6 @@ class WaveletBasis:
     def size(self) -> int:
         return len(self.plan.pos) + 1
 
-    @property
-    def constant(self) -> np.ndarray:
-        """The normalized constant element as a leaf vector."""
-        v = np.full(self.tree.n_leaves, self.plan.constant)
-        v.flags.writeable = False
-        return v
-
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each wavelet's leaf ranges ``(start, split, stop)``, in basis order.
 

@@ -125,7 +125,7 @@ def test_criterion_4_localization():
         ball = proper[int(rng.integers(len(proper)))]
         values = random_mean_zero_packet(rng, tree, ball)
         config = uw.EvolutionConfig(times=tuple(rng.uniform(0.0, 10.0, 5)))
-        report = uw.check_localization(values, tree, kernel, config, tol=1e-10)
+        report = uw.check_localization(values, tree, kernel, config)
         assert report.mean_zero and report.support_ball is not None
         outer, inner = tree.leaf_slice(ball), tree.leaf_slice(report.support_ball)
         assert outer.start <= inner.start and inner.stop <= outer.stop

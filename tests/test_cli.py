@@ -248,8 +248,19 @@ def test_malformed_kernel_file_is_a_usage_error(tree_file, tmp_path, capsys, ker
             "ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0,2,abc\r\nr.1,2,1.5\r\n",
             "has a lambda that is not a number on line 3: 'abc'",
         ),
+        (
+            "ball_id,p_I,lambda\r\nr,2,1.0\r\nzz,2,9\r\nr.0,2,1.5\r\n",
+            "lists 'zz', not an internal ball of this tree",
+        ),
+        (
+            "ball_id,p_I,lambda\r\nr,2,1.0\r\nr.0.1,1,7\r\nr.1,2,1.5\r\n",
+            "lists 'r.0.1', not an internal ball of this tree",
+        ),
     ],
-    ids=["no-lambda", "no-ball-id", "short-row", "repeated-ball", "lambda-not-a-number"],
+    ids=[
+        "no-lambda", "no-ball-id", "short-row", "repeated-ball", "lambda-not-a-number",
+        "unknown-ball", "leaf-ball",
+    ],
 )
 def test_malformed_expected_spectrum_is_a_usage_error(
     tree_file, kernel_file, tmp_path, capsys, text, message
@@ -747,6 +758,24 @@ def test_certify_small_run_passes(tmp_path, capsys):
     report = json.loads((out / "certify.json").read_text())
     assert report["passed"] is True
     assert report["instances"] == 4
+
+
+def test_report_keys_keep_their_order(tree_file, kernel_file, tmp_path):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--tree", str(tree_file), "--kernel", str(kernel_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["certify", "--seed", "7", "--instances", "2", "--out", str(out)]) == 0
+    verify = json.loads((out / "verify.json").read_text())
+    assert list(verify) == [
+        "max_residual", "residual_tol", "multiset_max_diff", "multiset_tol", "operator_norm",
+        "passed",
+    ]
+    assert (verify["residual_tol"], verify["multiset_tol"]) == (1e-10, 1e-8)
+    certify = json.loads((out / "certify.json").read_text())
+    assert list(certify) == ["seed", "instances", "inject", "passed", "checks"]
+    assert certify["checks"]
+    for check in certify["checks"]:
+        assert list(check) == ["name", "worst", "tol", "count", "worst_instance", "passed"]
 
 
 @pytest.mark.parametrize("inject", ["sign-bug", "tamper-spectrum"])

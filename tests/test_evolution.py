@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -15,7 +16,8 @@ from ultrawave.certify import (
 )
 from ultrawave import evolution
 from ultrawave.evolution import (
-    bessel_j,
+    _bessel_j,
+    _negligible_order,
     chebyshev_evolve_with_potential,
     chebyshev_expm,
     real_matvec,
@@ -418,7 +420,7 @@ def _bessel_by_quadrature(x, orders, points=4096):
 @pytest.mark.parametrize("x", [0.0, 1e-3, 1.0, 40.0, 80.0, 1e3])
 def test_bessel_values_match_independent_references(x):
     count = int(1.5 * x) + 30
-    got = bessel_j(x, count)
+    got = _bessel_j(x, count, _negligible_order(x))
     assert got.shape == (count,)
     if x < 1e3:
         np.testing.assert_allclose(got, jv(np.arange(count), x), rtol=0, atol=1e-14)
@@ -515,9 +517,10 @@ def test_chebyshev_product_count_on_the_512_leaf_tree(monkeypatch):
 
 
 def _reference_chebyshev_coefficients(x):
-    """The coefficients through ``bessel_j``, which searches for the
-    negligible order a second time."""
-    j = bessel_j(abs(x), evolution._negligible_order(abs(x)))
+    """The coefficients through ``_bessel_j``, with the negligible order
+    searched here, outside ``_chebyshev_coefficients``."""
+    order = _negligible_order(abs(x))
+    j = _bessel_j(abs(x), order, order)
     tail = np.abs(j)
     tail[1:] *= 2
     tail = np.cumsum(tail[::-1])[::-1]
@@ -679,6 +682,46 @@ def test_leaf_indicator_fails_precondition_and_leaks(binary_tree, binary_kernel)
     assert report.leakage_outside_mass > 1e-3
 
 
+def test_mean_zero_precondition_is_measured_on_the_support_ball():
+    """A light ball beside a heavy sibling: the packet's mean, 1e-11, is far
+    below 1e-10 of the whole space's scale but 500 times the support ball's,
+    and such a mean does leak out of the ball."""
+    spec = uw.TreeSpec(
+        balls=(
+            uw.BallSpec("r", None, 1.0),
+            uw.BallSpec("b", "r", 0.5),
+            uw.BallSpec("b0", "b", 0.25),
+            uw.BallSpec("b1", "b", 0.25),
+            uw.BallSpec("c", "r", 0.5),
+        ),
+        leaf_measures={"b0": 1e-4, "b1": 1e-4, "c": 1e4},
+    )
+    tree = uw.build_tree(spec)
+    kernel = uw.constant_kernel(tree)
+    values = np.array([1.0, -1.0 + 1e-7, 0.0])
+    mean_abs = abs(uw.mean(tree, values))
+    sqrt_ball_measure = math.sqrt(tree.measure[tree.index("b")])
+    assert 400 * 1e-10 * sqrt_ball_measure * tree.norm(values) < mean_abs
+    assert mean_abs < 1e-10 * math.sqrt(tree.total_measure) * tree.norm(values)
+    report = uw.check_localization(
+        values, tree, kernel, uw.EvolutionConfig(times=(1.0,)), demonstrate_leakage=True
+    )
+    assert report.support_ball == "b"
+    assert not report.mean_zero
+    assert not report.passed
+    # the leak a mean can cause is bounded by |mean| / sqrt(nu(B))
+    assert 0 < report.leakage_outside_mass <= mean_abs / sqrt_ball_measure
+
+
+def test_zero_packet_is_mean_zero_and_stays_zero(binary_tree, binary_kernel):
+    report = uw.check_localization(
+        np.zeros(4), binary_tree, binary_kernel, uw.EvolutionConfig(times=(0.5, 2.0))
+    )
+    assert report.mean_zero and report.passed
+    assert report.support_ball is None
+    assert all(s.outside_mass == 0.0 and s.mean_abs == 0.0 for s in report.samples)
+
+
 def test_localization_fuzzed_packets():
     rng = np.random.default_rng(31)
     for _ in range(6):
@@ -690,7 +733,7 @@ def test_localization_fuzzed_packets():
         report = uw.check_localization(
             values, tree, kernel, uw.EvolutionConfig(times=tuple(rng.uniform(0, 10, 5)))
         )
-        assert report.passed, (ball, report.to_dict())
+        assert report.passed, (ball, report)
         norm0 = tree.norm(values)
         assert all(s.outside_mass <= 1e-10 * norm0 for s in report.samples)
 

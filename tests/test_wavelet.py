@@ -84,9 +84,9 @@ def test_basis_ordering(binary_tree):
 
 def test_constant_element_value(binary_tree):
     basis = uw.build_basis(binary_tree)
-    np.testing.assert_allclose(basis.constant, 1.0, rtol=0)  # nu(root) = 1
+    np.testing.assert_allclose(basis.plan.constant, 1.0, rtol=0)  # nu(root) = 1
     tree4 = uw.build_tree(uw.padic_preset(2, 1, 4.0))
-    np.testing.assert_allclose(uw.build_basis(tree4).constant, 0.5, rtol=1e-15)
+    np.testing.assert_allclose(uw.build_basis(tree4).plan.constant, 0.5, rtol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,7 +200,7 @@ def test_wavelet_orthogonal_to_outer_indicators():
     balls = tree.ids_of(tree.internal_balls[basis.plan.ball]).tolist()
     for ball, wavelet in zip(balls, basis.matrix):
         scale = max(abs(wavelet))
-        for ball_id in tree.order:
+        for ball_id in tree.ids_of(np.arange(len(tree))):
             inside = _contains(tree, ball, ball_id)
             covers = _contains(tree, ball_id, ball)
             disjoint = not inside and not covers
@@ -245,7 +245,7 @@ def test_single_ball_tree_has_only_the_constant():
     basis = uw.build_basis(tree)
     assert basis.plan.ball.size == 0
     assert basis.size == 1
-    np.testing.assert_allclose(basis.constant, 0.5, rtol=1e-15)
+    np.testing.assert_allclose(basis.plan.constant, 0.5, rtol=1e-15)
     coeffs = basis.analyze(np.array([3.0]))
     np.testing.assert_allclose(basis.synthesize(coeffs), [3.0], rtol=1e-12)
 
@@ -254,8 +254,6 @@ def test_basis_matrix_is_read_only(binary_tree):
     basis = uw.build_basis(binary_tree)
     with pytest.raises(ValueError):
         basis.matrix[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        basis.constant[0] = 5.0
 
 
 # -- fast transforms against the dense materialization ---------------------------
