@@ -18,15 +18,15 @@ descendants, and children follow the order of the specification.  The
 leaves, taken in preorder, are the canonical leaf order.  Each per-ball
 quantity is a read-only numpy array indexed by that number:
 
-- ``parent`` (-1 at the root), ``depths`` (0 at the root) and
-  ``child_count``;
+- ``parent`` (-1 at the root) and ``child_count``;
 - ``kids`` and ``first_child``: ``kids`` lists the non-root balls grouped
   by parent, parents in preorder and siblings in child order, so the
   children of ball b are ``kids[first_child[b]:first_child[b] + child_count[b]]``;
 - ``leaf_start`` and ``leaf_stop``: the contiguous range of canonical leaf
   indices below each ball;
 - ``diameter`` and ``measure``;
-- ``levels``: per depth, the balls at that depth in preorder.
+- ``levels``: per depth, the balls at that depth in preorder; a ball's
+  depth is the index of its level.
 
 Two sweeps over ``levels`` carry every per-ball sum the package needs:
 ``ball_integrals`` sums leaf values up to each ball, children first, and
@@ -199,7 +199,6 @@ class BallTree:
         self.kids = _frozen(arrays["kids"])
         self.child_count = _frozen(arrays["child_count"])
         self.first_child = _frozen(_exclusive_cumsum(self.child_count))
-        self.depths = _frozen(arrays["depths"])
         self.levels = tuple(_frozen(level) for level in arrays["levels"])
         self.leaf_start = _frozen(arrays["leaf_start"])
         self.leaf_stop = _frozen(arrays["leaf_stop"])
@@ -345,12 +344,6 @@ class BallTree:
             )
         return v
 
-    def inner(self, f, g) -> complex:
-        """Measure-weighted inner product <f, g> = sum conj(f) g nu."""
-        fv = self.as_leaf_values(f)
-        gv = self.as_leaf_values(g)
-        return complex(np.sum(np.conj(fv) * gv * self.leaf_measures))
-
     def norm(self, f) -> float:
         fv = self.as_leaf_values(f)
         return float(np.sqrt(np.sum(np.abs(fv) ** 2 * self.leaf_measures)))
@@ -495,9 +488,9 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
 
     A document of the wrong shape raises :class:`InvalidTreeError` naming
     what is wrong: the document, the preset, a ball or ``leaf_measures`` is
-    not an object, a required number is missing or is not a number, a
-    preset's ``p`` or ``depth`` is not an integer, or a preset number is out
-    of range.
+    not an object, a required number is missing or is not a number (a bool
+    or a string is not, even where ``float`` reads it), a preset's ``p`` or
+    ``depth`` is not an integer, or a preset number is out of range.
     """
     if not isinstance(doc, Mapping):
         raise InvalidTreeError([f"specification must be an object, got {type(doc).__name__}"])
@@ -531,13 +524,15 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
         parents = list(map(operator.methodcaller("get", "parent"), entries))
         if not set(map(type, parents)) <= {str, type(None)}:
             parents = [None if parent is None else str(parent) for parent in parents]
-        measure, declared = _optional_floats(
-            list(map(operator.methodcaller("get", "measure"), entries))
-        )
+        diameters = list(map(operator.itemgetter("diameter"), entries))
+        measures = list(map(operator.methodcaller("get", "measure"), entries))
+        if _NOT_NUMBERS & set(map(type, diameters)) or _NOT_NUMBERS & set(map(type, measures)):
+            raise TypeError("a diameter or measure is a bool or a string")
+        measure, declared = _optional_floats(measures)
         balls = BallColumns(
             list(map(str, map(operator.itemgetter("id"), entries))),
             parents,
-            np.array(list(map(float, map(operator.itemgetter("diameter"), entries))), dtype=float),
+            np.array(list(map(float, diameters)), dtype=float),
             measure,
             declared,
         )
@@ -553,13 +548,15 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
                 [f"'leaf_measures' must be an object, got {type(leaf_measures).__name__}"]
             )
         try:
+            if _NOT_NUMBERS & set(map(type, leaf_measures.values())):
+                raise TypeError("a leaf measure is a bool or a string")
             leaf_measures = dict(zip(map(str, leaf_measures), map(float, leaf_measures.values())))
         except (TypeError, ValueError, OverflowError):
             raise InvalidTreeError(
                 [
                     f"leaf_measures gives leaf {leaf!r} a measure that is not a number: {value!r}"
                     for leaf, value in leaf_measures.items()
-                    if not _is_number(value)
+                    if not _is_json_number(value)
                 ]
             ) from None
     return TreeSpec(balls=balls, leaf_measures=leaf_measures)
@@ -580,19 +577,16 @@ def _ball_entry_problems(entries) -> list[str]:
         if entry.get("diameter") is None:
             problems.append(f"{name} has no 'diameter'")
         for key in ("diameter", "measure"):
-            if entry.get(key) is not None and not _is_number(entry[key]):
+            if entry.get(key) is not None and not _is_json_number(entry[key]):
                 problems.append(f"{name} has a {key} that is not a number: {entry[key]!r}")
     return problems
 
 
 def _preset_measure(preset: Mapping) -> float:
     value = preset.get("total_measure", 1.0)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidTreeError(
-            [f"padic preset needs a number 'total_measure', got {value!r}"]
-        ) from None
+    if not _is_json_number(value):
+        raise InvalidTreeError([f"padic preset needs a number 'total_measure', got {value!r}"])
+    return float(value)
 
 
 def _is_number(value) -> bool:
@@ -601,6 +595,16 @@ def _is_number(value) -> bool:
     except (TypeError, ValueError, OverflowError):
         return False
     return True
+
+
+#: Types that ``float`` reads but that are not numbers in a JSON document:
+#: ``true``, ``false`` and strings such as ``"1.0"``.
+_NOT_NUMBERS = {bool, str}
+
+
+def _is_json_number(value) -> bool:
+    """A number as a JSON document gives one: ``float`` reads it and it is no bool or string."""
+    return type(value) not in _NOT_NUMBERS and _is_number(value)
 
 
 def load_tree_spec(path) -> TreeSpec:
@@ -790,9 +794,6 @@ def build_tree(spec: TreeSpec) -> BallTree:
     kids[_exclusive_cumsum(count_pre)[parent_pre[1:]] + rank[row[1:]]] = np.arange(1, m)
     leaves_before = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(count_pre == 0, out=leaves_before[1:])
-    depths = np.empty(m, dtype=np.intp)
-    for d, level in enumerate(levels):
-        depths[level] = d
     return BallTree(
         np.asarray(ids, dtype=object),
         lookup,
@@ -800,7 +801,6 @@ def build_tree(spec: TreeSpec) -> BallTree:
         parent=parent_pre,
         kids=kids,
         child_count=count_pre,
-        depths=depths[row],
         levels=[pre[level] for level in levels],
         leaf_start=leaves_before[:-1].copy(),
         leaf_stop=leaves_before[np.arange(m) + size[row]],

@@ -626,7 +626,7 @@ def spacetime_product_check(
     for tree, ball_id, index in ((tree_x, ball_x, index_x), (tree_t, ball_t, index_t)):
         basis = build_basis(tree)
         # a ball's wavelets are consecutive in the basis, by index from 1
-        mine = np.flatnonzero(basis.plan.ball == tree.internal_rank[tree.index(ball_id)])
+        mine = np.flatnonzero(tree.parent[basis.plan.child] == tree.index(ball_id))
         if not 1 <= index <= mine.size:
             raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
         rows.append(basis.matrix[mine[index - 1]])

@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import column, csv_fields, float_column, read_csv, write_csv
-from .ball_tree import BallTree, BallValues, _is_number, internal_values
+from .ball_tree import _NOT_NUMBERS, BallTree, BallValues, _is_json_number, internal_values
 from .wavelet import WaveletBasis
 
 
@@ -92,7 +92,8 @@ class Spectrum:
 
     def for_basis(self, basis: WaveletBasis) -> np.ndarray:
         """Eigenvalue per basis element, in basis order (constant last)."""
-        return np.append(self.for_tree(basis.tree)[basis.plan.ball], 0.0)
+        ball = basis.tree.internal_rank[basis.tree.parent[basis.plan.child]]
+        return np.append(self.for_tree(basis.tree)[ball], 0.0)
 
 
 def _checked_kernel(tree: BallTree, values: np.ndarray) -> SupKernel:
@@ -110,13 +111,16 @@ def make_kernel(tree: BallTree, values: Mapping[str, float]) -> SupKernel:
     """Validate a kernel: nonnegative and covering every internal ball.
 
     The first offending entry, in the mapping's order, is named: an unknown
-    ball, a leaf, or a value that is not a number, negative or non-finite.
+    ball, a leaf, or a value that is not a number (a bool or a string is
+    not), negative or non-finite.
     """
     names = list(values)
     try:
+        if _NOT_NUMBERS & set(map(type, values.values())):
+            raise TypeError("a kernel value is a bool or a string")
         given = np.array([float(v) for v in values.values()], dtype=float)
     except (TypeError, ValueError, OverflowError):
-        name, value = next((k, v) for k, v in values.items() if not _is_number(v))
+        name, value = next((k, v) for k, v in values.items() if not _is_json_number(v))
         raise ValueError(f"kernel value for ball {name!r} is not a number: {value!r}") from None
     balls = tree.positions(names)
     leaf = tree.child_count[balls] == 0
@@ -183,7 +187,7 @@ def load_kernel(path, tree: BallTree) -> SupKernel:
     if "preset" in doc:
         if doc["preset"] != "vladimirov":
             raise ValueError(f"unknown kernel preset: {doc['preset']!r}")
-        if not _is_number(doc.get("alpha")):
+        if not _is_json_number(doc.get("alpha")):
             raise ValueError(
                 f"kernel file {path}: the vladimirov preset needs a number 'alpha', "
                 f"got {doc.get('alpha')!r}"

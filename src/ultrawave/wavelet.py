@@ -14,12 +14,13 @@ spans the same space and leaves every operator in :mod:`.pdo` diagonal.
 
 A basis is stored as a :class:`TransformPlan`: per wavelet the ball of its
 child and its Helmert pair, plus a scan schedule over siblings, O(n)
-numbers for n leaves; the leaf ranges a wavelet covers are the tree's, and
-``WaveletBasis.support`` reads them off the tree.  ``analyze`` and
-``synthesize`` run in O(n) on the tree's two sweeps, with every per-ball
-array in the tree's preorder ball numbering: ``analyze`` takes ball
-integrals of f * nu bottom-up (``BallTree.ball_integrals``),
-``synthesize`` sums values down each root path (``BallTree.path_sums``).
+numbers for n leaves.  Everything else about a wavelet is the tree's: its
+ball is its child's parent, and ``WaveletBasis.support`` reads the leaf
+ranges it covers off the tree.  ``analyze`` and ``synthesize`` run in O(n)
+on the tree's two sweeps, with every per-ball array in the tree's preorder
+ball numbering: ``analyze`` takes ball integrals of f * nu bottom-up
+(``BallTree.ball_integrals``), ``synthesize`` sums values down each root
+path (``BallTree.path_sums``).
 Partial sums over siblings come from a work-efficient (Blelloch) scan, so
 each is a balanced tree of additions and rounding grows with depth and the
 log of the arity, not with n.
@@ -29,8 +30,9 @@ The dense oracles work from the same plan.  ``matrix_times(y)`` returns
 per column of ``y``, without building ``matrix``; ``gram`` is one such
 product.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
 rebuilt on every access, so hold one reference per use); it exists for the
-transform cross-check and tests.  Wavelet k belongs to internal ball
-``plan.ball[k]``; a ball's wavelets are consecutive, in index order from 1.
+transform cross-check and tests.  Wavelet k belongs to ball
+``tree.parent[plan.child[k]]``; a ball's wavelets are consecutive, in index
+order from 1, and a ball with c children has c - 1 of them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .ball_tree import BallTree, running_sums
 class TransformPlan:
     """Everything a wavelet basis stores, as read-only arrays.
 
-    Wavelet k with index j belongs to ball ``tree.internal[ball[k]]``.  It
+    Wavelet k with index j belongs to ball ``tree.parent[child[k]]``.  It
     equals ``pos[k]`` on children 1..j of the ball, ``neg[k]`` on child
     j+1, whose ball number in the tree is ``child[k]``, and zero elsewhere.
     ``constant`` is the value of the normalized constant.
@@ -61,7 +63,6 @@ class TransformPlan:
     levels index the blocks of the level before.
     """
 
-    ball: np.ndarray
     child: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
@@ -93,8 +94,7 @@ class WaveletBasis:
         leaf ranges of the wavelet's ball and child.
         """
         tree, child = self.tree, self.plan.child
-        ball = tree.internal_balls[self.plan.ball]
-        return tree.leaf_start[ball], tree.leaf_start[child], tree.leaf_stop[child]
+        return tree.leaf_start[tree.parent[child]], tree.leaf_start[child], tree.leaf_stop[child]
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`support` as every nonzero wavelet value, in flat arrays
@@ -131,7 +131,7 @@ class WaveletBasis:
         the sum of internal ball b.
         """
         tree, p = self.tree, self.plan
-        first = np.searchsorted(p.ball, np.arange(len(tree.internal_balls) + 1))
+        first = np.append(0, np.cumsum(tree.child_count[tree.internal_balls] - 1))
         first_child = tree.kids[tree.first_child[tree.internal_balls]]
         source = np.where(tree.child_count, ~tree.internal_rank, tree.leaf_start)
         return first.tolist(), source[first_child].tolist(), source[p.child].tolist()
@@ -296,7 +296,6 @@ def build_basis(tree: BallTree) -> WaveletBasis:
     tail = measure[wavelet]
     total = head + tail
     plan = TransformPlan(
-        ball=_frozen(tree.internal_rank[up[wavelet]], np.intp),
         child=_frozen(child, np.intp),
         pos=_frozen(_helmert_weight(head, tail, total), float),
         neg=_frozen(-_helmert_weight(tail, head, total), float),

@@ -249,7 +249,7 @@ def test_ball_support_single_leaf(binary_tree):
 
 def test_ball_support_wavelet_is_its_ball(binary_tree):
     basis = uw.build_basis(binary_tree)
-    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    balls = binary_tree.ids_of(binary_tree.parent[basis.plan.child]).tolist()
     for ball, wavelet in zip(balls, basis.matrix):
         assert binary_tree.ball_support(wavelet) == ball
 
@@ -288,6 +288,7 @@ def test_leaf_metric_is_ultrametric(seed):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, min_leaves=3, max_leaves=40)
     leaves = tree.leaves
+    depth = {b: d for d, level in enumerate(tree.levels) for b in level.tolist()}
     for _ in range(20):
         a, b, c = (leaves[int(rng.integers(len(leaves)))] for _ in range(3))
         dab, dbc, dac = tree.distance(a, b), tree.distance(b, c), tree.distance(a, c)
@@ -297,7 +298,7 @@ def test_leaf_metric_is_ultrametric(seed):
         # equivalent depth form of the strong triangle inequality
         if a != b and b != c and a != c:
             ac, ab, bc = (
-                tree.depths[tree.index(tree.sup(x, y))] for x, y in ((a, c), (a, b), (b, c))
+                depth[tree.index(tree.sup(x, y))] for x, y in ((a, c), (a, b), (b, c))
             )
             assert ac >= min(ab, bc)
 

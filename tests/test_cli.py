@@ -140,10 +140,36 @@ _LEAVES = [
             '{"preset": {"type": "padic", "p": 2, "depth": 2, "total_measure": 1e999}}',
             "padic preset: total_measure must be positive and finite, got inf",
         ),
+        *(
+            (doc, violation)
+            for value in (True, "1.0")
+            for doc, violation in (
+                (
+                    {"balls": [{"id": "r", "parent": None, "diameter": value}, *_LEAVES]},
+                    f"ball 'r' has a diameter that is not a number: {value!r}",
+                ),
+                (
+                    {"balls": [{"id": "r", "parent": None, "diameter": 1.0},
+                               {**_LEAVES[0], "measure": value}, _LEAVES[1]]},
+                    f"ball 'a' has a measure that is not a number: {value!r}",
+                ),
+                (
+                    {"balls": [{"id": "r", "parent": None, "diameter": 1.0}, *_LEAVES],
+                     "leaf_measures": {"a": 1.0, "b": value}},
+                    f"leaf_measures gives leaf 'b' a measure that is not a number: {value!r}",
+                ),
+                (
+                    {"preset": {"type": "padic", "p": 2, "depth": 2, "total_measure": value}},
+                    f"padic preset needs a number 'total_measure', got {value!r}",
+                ),
+            )
+        ),
     ],
     ids=["array", "preset-without-p", "ball-without-diameter", "entry-not-object",
          "leaf-measures-list", "preset-p-1", "preset-depth-0", "preset-p-string",
-         "preset-depth-true", "preset-p-float", "preset-measure-overflows"],
+         "preset-depth-true", "preset-p-float", "preset-measure-overflows",
+         *(f"{field}-{kind}" for kind in ("true", "string")
+           for field in ("ball-diameter", "ball-measure", "leaf-measure", "preset-measure"))],
 )
 def test_malformed_tree_spec_is_a_named_violation(tmp_path, capsys, doc, violation):
     path = tmp_path / "bad.json"
@@ -223,8 +249,23 @@ def test_spectrum_expected_match_and_tamper(tree_file, kernel_file, tmp_path, ca
     [
         ({"preset": "vladimirov"}, "the vladimirov preset needs a number 'alpha', got None"),
         ({"r": 1.0, "r.0": None, "r.1": 2.0}, "kernel value for ball 'r.0' is not a number: None"),
+        *(
+            case
+            for value in (True, "0.5")
+            for case in (
+                (
+                    {"r": 1.0, "r.0": value, "r.1": 2.0},
+                    f"kernel value for ball 'r.0' is not a number: {value!r}",
+                ),
+                (
+                    {"preset": "vladimirov", "alpha": value},
+                    f"the vladimirov preset needs a number 'alpha', got {value!r}",
+                ),
+            )
+        ),
     ],
-    ids=["preset-without-alpha", "null-value"],
+    ids=["preset-without-alpha", "null-value", "value-true", "alpha-true", "value-string",
+         "alpha-string"],
 )
 def test_malformed_kernel_file_is_a_usage_error(tree_file, tmp_path, capsys, kernel, message):
     path = tmp_path / "bad-kernel.json"
@@ -356,7 +397,7 @@ def test_evolve_wavelet_norm_is_constant(tree_file, kernel_file, tmp_path):
     for row in rows:
         assert abs(float(row["norm"]) - 1.0) <= 1e-10
         assert float(row["outside_mass"]) <= 1e-12
-        assert row["support_ball"] == tree.internal[basis.plan.ball[1]]
+        assert row["support_ball"] == tree.ids_of(tree.parent[basis.plan.child[1]])
 
 
 def test_evolve_heat_norm_decay(tree_file, kernel_file, tmp_path):

@@ -106,7 +106,7 @@ def test_dense_eigenrelation(binary_tree, binary_kernel):
     matrix = uw.dense_operator(binary_tree, binary_kernel)
     basis = uw.build_basis(binary_tree)
     spec = uw.spectrum(binary_tree, binary_kernel)
-    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    balls = binary_tree.ids_of(binary_tree.parent[basis.plan.child]).tolist()
     for ball, wavelet in zip(balls, basis.matrix):
         lam = spec.eigenvalues[ball]
         residual = binary_tree.norm(matrix @ wavelet - lam * wavelet)

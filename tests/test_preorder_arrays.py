@@ -238,7 +238,8 @@ def test_arrays_match_the_per_ball_reference_bitwise(shape):
     assert tree.depth == max(ref["depth"].values())
     assert _same_bits(tree.measure, [ref["measure"][b] for b in ref["order"]])
     assert _same_bits(tree.diameter, [ref["diameter"][b] for b in ref["order"]])
-    assert _same_bits(tree.depths, [ref["depth"][b] for b in ref["order"]])
+    by_level = sorted((b, d) for d, level in enumerate(tree.levels) for b in level.tolist())
+    assert by_level == [(b, ref["depth"][ball_id]) for b, ball_id in enumerate(ref["order"])]
     assert _same_bits(tree.leaf_start, [ref["span"][b][0] for b in ref["order"]])
     assert _same_bits(tree.leaf_stop, [ref["span"][b][1] for b in ref["order"]])
     for b in (ref["root"], ref["order"][-1], ref["internal"][-1]):
@@ -259,8 +260,9 @@ def test_arrays_match_the_per_ball_reference_bitwise(shape):
     basis = uw.build_basis(tree)
     plan = basis.plan
     ref_plan = _reference_plan(ref)
-    for name in ("ball", "pos", "neg", "child"):
+    for name in ("pos", "neg", "child"):
         assert _same_bits(getattr(plan, name), ref_plan[name]), name
+    assert _same_bits(tree.internal_rank[tree.parent[plan.child]], ref_plan["ball"])
     assert all(_same_bits(g, w) for g, w in zip(basis.support(), ref_plan["support"], strict=True))
     assert plan.constant == ref_plan["constant"]
     assert len(plan.scan) == len(ref_plan["scan"])
@@ -318,7 +320,7 @@ def test_eigenvalue_equals_spectrum_bitwise(shape):
 def test_json_columns_read_as_ball_specs(tmp_path):
     spec = uw.tree_spec_from_dict(
         {"balls": [{"id": "r", "parent": None, "diameter": 1, "measure": 2.0},
-                   {"id": 7, "parent": "r", "diameter": "0.5"},
+                   {"id": 7, "parent": "r", "diameter": 0.5},
                    {"id": "b", "parent": "r", "diameter": 0.5, "measure": None}],
          "leaf_measures": {"7": 1, "b": 1.0}}
     )

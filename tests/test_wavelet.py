@@ -71,7 +71,7 @@ def test_ternary_ball_spans_mean_zero_space():
 
 def test_basis_ordering(binary_tree):
     basis = uw.build_basis(binary_tree)
-    balls = binary_tree.ids_of(binary_tree.internal_balls[basis.plan.ball]).tolist()
+    balls = binary_tree.ids_of(binary_tree.parent[basis.plan.child]).tolist()
     # wavelet j of a ball is positive on its children 1..j, the leaves before the split
     _, split, _ = basis.support()
     index = [
@@ -197,7 +197,7 @@ def test_wavelet_orthogonal_to_outer_indicators():
     rng = np.random.default_rng(11)
     tree = random_tree(rng, min_leaves=8, max_leaves=40, min_depth=2)
     basis = uw.build_basis(tree)
-    balls = tree.ids_of(tree.internal_balls[basis.plan.ball]).tolist()
+    balls = tree.ids_of(tree.parent[basis.plan.child]).tolist()
     for ball, wavelet in zip(balls, basis.matrix):
         scale = max(abs(wavelet))
         for ball_id in tree.ids_of(np.arange(len(tree))):
@@ -207,14 +207,14 @@ def test_wavelet_orthogonal_to_outer_indicators():
             if covers or disjoint:
                 indicator = np.zeros(tree.n_leaves)
                 indicator[tree.leaf_slice(ball_id)] = 1.0
-                overlap = abs(tree.inner(indicator, wavelet))
+                overlap = abs(np.sum(indicator * wavelet * tree.leaf_measures))
                 assert overlap <= 1e-12 * tree.total_measure * scale
 
 
 def test_wavelets_constant_on_children():
     tree = random_tree(np.random.default_rng(5), min_leaves=10, max_leaves=60)
     basis = uw.build_basis(tree)
-    balls = tree.ids_of(tree.internal_balls[basis.plan.ball]).tolist()
+    balls = tree.ids_of(tree.parent[basis.plan.child]).tolist()
     for ball, wavelet in zip(balls, basis.matrix):
         for child in _children(tree, ball):
             block = wavelet[tree.leaf_slice(child)]
@@ -243,7 +243,7 @@ def test_single_ball_tree_has_only_the_constant():
         TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),))
     )
     basis = uw.build_basis(tree)
-    assert basis.plan.ball.size == 0
+    assert basis.plan.child.size == 0
     assert basis.size == 1
     np.testing.assert_allclose(basis.plan.constant, 0.5, rtol=1e-15)
     coeffs = basis.analyze(np.array([3.0]))
