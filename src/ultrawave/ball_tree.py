@@ -521,8 +521,12 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
             raise InvalidTreeError([f"padic preset: {exc}"]) from None
     entries = doc["balls"]
     try:
+        ids = list(map(operator.itemgetter("id"), entries))
         parents = list(map(operator.methodcaller("get", "parent"), entries))
-        if not set(map(type, parents)) <= {str, type(None)}:
+        parent_types = set(map(type, parents))
+        if _NOT_IDS & set(map(type, ids)) or bool in parent_types:
+            raise TypeError("an id is a bool or null, or a parent is a bool")
+        if not parent_types <= {str, type(None)}:
             parents = [None if parent is None else str(parent) for parent in parents]
         diameters = list(map(operator.itemgetter("diameter"), entries))
         measures = list(map(operator.methodcaller("get", "measure"), entries))
@@ -530,7 +534,7 @@ def tree_spec_from_dict(doc: Mapping) -> TreeSpec:
             raise TypeError("a diameter or measure is a bool or a string")
         measure, declared = _optional_floats(measures)
         balls = BallColumns(
-            list(map(str, map(operator.itemgetter("id"), entries))),
+            list(map(str, ids)),
             parents,
             np.array(list(map(float, diameters)), dtype=float),
             measure,
@@ -571,9 +575,14 @@ def _ball_entry_problems(entries) -> list[str]:
         if not isinstance(entry, Mapping):
             problems.append(f"balls entry {k} is not an object: {entry!r}")
             continue
-        name = f"ball {entry['id']!r}" if "id" in entry else f"balls entry {k}"
+        has_id = "id" in entry and type(entry["id"]) not in _NOT_IDS
+        name = f"ball {entry['id']!r}" if has_id else f"balls entry {k}"
         if "id" not in entry:
             problems.append(f"{name} has no 'id'")
+        elif not has_id:
+            problems.append(f"{name} has an id that is not a string or a number: {entry['id']!r}")
+        if type(entry.get("parent")) is bool:
+            problems.append(f"{name} has a parent that is not a ball id: {entry['parent']!r}")
         if entry.get("diameter") is None:
             problems.append(f"{name} has no 'diameter'")
         for key in ("diameter", "measure"):
@@ -600,6 +609,9 @@ def _is_number(value) -> bool:
 #: Types that ``float`` reads but that are not numbers in a JSON document:
 #: ``true``, ``false`` and strings such as ``"1.0"``.
 _NOT_NUMBERS = {bool, str}
+#: Types of a JSON ``id`` that name no ball: ``true``, ``false`` and ``null``.
+#: An integer id is read as its decimal string.
+_NOT_IDS = {bool, type(None)}
 
 
 def _is_json_number(value) -> bool:

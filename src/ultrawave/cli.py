@@ -94,7 +94,7 @@ def cmd_spectrum(args) -> int:
     print(f"wrote {out / 'spectrum.csv'} and {out / 'verify.json'}")
     print(
         f"eigenrelation residual {report.max_residual:.3e}, "
-        f"multiset deviation {report.multiset_max_diff:.3e}"
+        f"multiset deviation at most {report.multiset_max_diff:.3e}"
     )
 
     status = 0 if report.passed else 1

@@ -24,13 +24,14 @@ pair definition, with no reference to wavelets or the eigenvalue sum.
 ``symmetric_operator`` builds, from the same pairs and into one buffer,
 the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1, optionally
 plus a real diagonal potential; it is the one dense matrix behind both
-oracles.  ``verify_spectrum`` certifies the closed form with it: it
-compares the eigenvalues of S with the analytic multiset and takes each
-wavelet's residual in sqrt(nu) coordinates.  ``DensePropagator`` in
-:mod:`.evolution` evolves through the eigendecomposition of S.  S is
-bitwise symmetric, so both pass LAPACK S.T: the same values in
-column-major order, which numpy copies into LAPACK's buffer contiguously
-rather than one strided column at a time.
+oracles.  ``verify_spectrum`` certifies the closed form with it: it takes
+each wavelet's residual in sqrt(nu) coordinates and, from the residuals
+and the basis's Gram matrix, a bound on the gap between the eigenvalues
+of S and the analytic multiset, in O(n^2) and with no eigensolver.
+``DensePropagator`` in :mod:`.evolution` evolves through the
+eigendecomposition of S.  S is bitwise symmetric, so it passes LAPACK
+S.T: the same values in column-major order, which numpy copies into
+LAPACK's buffer contiguously rather than one strided column at a time.
 
 ``pair_matvec`` is M without the matrix: the product f -> M f = a f - b
 from the tree's two sweeps, ball integrals bottom-up
@@ -397,8 +398,17 @@ class SpectrumVerification:
 
 #: Largest relative eigenrelation residual :func:`verify_spectrum` accepts.
 _RESIDUAL_TOL = 1e-10
-#: Largest absolute gap between the dense and the analytic eigenvalues it accepts.
+#: Largest certified gap between the dense and the analytic eigenvalues it accepts.
 _MULTISET_TOL = 1e-8
+
+
+def _sum_of_squares(a: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of ``a`` (of ``a`` itself if it is 1-D).
+
+    Summed by numpy's own loop, whose order is fixed, not as a BLAS dot
+    product, whose order follows the BLAS thread count.
+    """
+    return np.einsum("...i,...i->...", a, a)
 
 
 def verify_spectrum(
@@ -406,47 +416,68 @@ def verify_spectrum(
 ) -> SpectrumVerification:
     """Check every basis element against the operator's dense matrix.
 
-    Two independent comparisons: the eigenrelation residual
+    Two comparisons: the eigenrelation residual
     ||M psi - lambda psi||_nu / max(1, ||M|| ||psi||_nu) per basis element,
-    at most ``_RESIDUAL_TOL``, and equality of the numerically computed
-    eigenvalue multiset with the analytic multiset (each ball's eigenvalue
-    repeated once per wavelet, plus 0 for the constant), to within
-    ``_MULTISET_TOL``.  The report records both tolerances.
+    at most ``_RESIDUAL_TOL``, and a certified bound beta on the gap between
+    the eigenvalues of M and the analytic multiset (each ball's eigenvalue
+    repeated once per wavelet, plus 0 for the constant), both sorted, at
+    most ``_MULTISET_TOL``.  The report records both tolerances, beta as
+    ``multiset_max_diff`` and max |lambda| as ``operator_norm``, which is
+    within beta of ||M||.
 
-    Everything runs on one n-by-n buffer, the symmetric matrix
-    S = diag(r) M diag(r)^-1 with r = sqrt(nu) of
-    :func:`symmetric_operator`.  ``eigvalsh(S)`` gives the multiset.
-    Scaling S's rows by r then makes row k of ``basis.matrix_times(S)`` the
+    The operator is the symmetric matrix S = diag(r) M diag(r)^-1 with
+    r = sqrt(nu) of :func:`symmetric_operator`, which has M's eigenvalues.
+    Scaling S's rows by r makes row k of ``basis.matrix_times(S)`` the
     vector S phi_k with phi_k = r psi_k, and
     ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
-    the residual is taken in these coordinates, subtracting lambda_k phi_k
-    on psi_k's support only.
+    the residual rows R_k = S phi_k - lambda_k phi_k are taken in these
+    coordinates, subtracting lambda_k phi_k on psi_k's support only.
+
+    The bound needs no eigensolver (Weyl's theorem on the polar factor of
+    the basis; Parlett, *The Symmetric Eigenvalue Problem*, 1980, ch. 11).
+    Let Q have the columns phi_k, G = Q^T Q = ``basis.gram()``, E = G - I,
+    eta = ||E||_F and Lambda = diag(lambda).  For eta <= 1/2, Q = U H with
+    U orthogonal and H = G^(1/2), and S Q = Q Lambda + R^T gives
+    U^T S U = H Lambda H^-1 + U^T R^T H^-1.  With ||H - I - E/2|| <= eta^2/2
+    and ||H^-1|| <= 1/sqrt(1 - eta), Weyl's theorem bounds every sorted
+    eigenvalue gap by
+
+        beta = (||R||_F + ||E Lambda - Lambda E||_F / 2 + eta^2 max|lambda|)
+               / sqrt(1 - eta),
+
+    where (E Lambda - Lambda E)_jk = E_jk (lambda_k - lambda_j).  For
+    eta > 1/2 the basis is too far from orthonormal to bound anything, and
+    beta is ``inf``.  Rounding in forming R and E is not bounded, just as an
+    eigensolver's backward error would not be.
+
+    Two O(n^2) products decide everything, so the check costs O(n^2) time.
+    The Gram matrix is reduced and freed before S is built, so at most two
+    n-by-n arrays are held at once.  No LAPACK routine runs, and every sum
+    taken here is numpy's own, in a fixed order, not a BLAS product.
     """
     if basis.tree is not tree and basis.tree.leaves != tree.leaves:
         raise ValueError("basis was built for a different tree")
     nu = tree.leaf_measures
     r = np.sqrt(nu)
-    sym = symmetric_operator(tree, kernel)
-    # S is bitwise symmetric, so S.T holds S in the column-major order LAPACK reads
-    numeric = np.sort(np.linalg.eigvalsh(sym.T))
-    arity = tree.child_count[tree.internal_balls]
-    analytic = np.sort(
-        np.append(np.repeat(spec.for_tree(tree), arity - 1), 0.0)
-    )
-    if analytic.shape != numeric.shape:
-        raise ValueError(
-            f"eigenvalue count mismatch: {analytic.size} analytic vs {numeric.size} dense"
-        )
-    multiset_max_diff = float(np.max(np.abs(numeric - analytic), initial=0.0))
-    operator_norm = float(np.max(np.abs(numeric), initial=0.0))
-
     lam = spec.for_basis(basis)
+    operator_norm = float(np.max(np.abs(lam)))
+
+    error = basis.gram()
+    error[np.diag_indices_from(error)] -= 1.0
+    eta = math.sqrt(_sum_of_squares(error.ravel()))
+    # E_jk (lambda_k - lambda_j) a row at a time, not as a second n-by-n array
+    for j in range(basis.size):
+        error[j] *= lam - lam[j]
+    commutator = math.sqrt(_sum_of_squares(error.ravel()))
+    del error
+
+    sym = symmetric_operator(tree, kernel)
     sym *= r[:, None]
     residual = basis.matrix_times(sym)
     wavelet, leaf, value = basis._entries()
     residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
     residual[-1] -= lam[-1] * basis.plan.constant * r
-    residual_norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+    residual_squares = _sum_of_squares(residual)
     vector_norms = np.sqrt(
         np.append(
             np.bincount(wavelet, weights=nu[leaf] * value**2, minlength=basis.size - 1),
@@ -454,11 +485,16 @@ def verify_spectrum(
         )
     )
     scale = np.maximum(1.0, operator_norm * vector_norms)
-    max_residual = float(np.max(residual_norms / scale, initial=0.0))
+    max_residual = float(np.max(np.sqrt(residual_squares) / scale))
+    if eta <= 0.5:
+        residual_norm = math.sqrt(np.sum(residual_squares))
+        bound = (residual_norm + commutator / 2 + eta**2 * operator_norm) / math.sqrt(1.0 - eta)
+    else:
+        bound = math.inf
     return SpectrumVerification(
         max_residual=max_residual,
         residual_tol=_RESIDUAL_TOL,
-        multiset_max_diff=multiset_max_diff,
+        multiset_max_diff=bound,
         multiset_tol=_MULTISET_TOL,
         operator_norm=operator_norm,
     )

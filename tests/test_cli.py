@@ -164,12 +164,29 @@ _LEAVES = [
                 ),
             )
         ),
+        # each would be read as a ball named "True" or "None"
+        (
+            {"balls": [{"id": True, "parent": None, "diameter": 1.0},
+                       *({**leaf, "parent": "True"} for leaf in _LEAVES)]},
+            "balls entry 0 has an id that is not a string or a number: True",
+        ),
+        (
+            {"balls": [{"id": "r", "parent": None, "diameter": 1.0},
+                       {**_LEAVES[0], "id": None}, _LEAVES[1]]},
+            "balls entry 1 has an id that is not a string or a number: None",
+        ),
+        (
+            {"balls": [{"id": "True", "parent": None, "diameter": 1.0},
+                       {**_LEAVES[0], "parent": True}, {**_LEAVES[1], "parent": "True"}]},
+            "ball 'a' has a parent that is not a ball id: True",
+        ),
     ],
     ids=["array", "preset-without-p", "ball-without-diameter", "entry-not-object",
          "leaf-measures-list", "preset-p-1", "preset-depth-0", "preset-p-string",
          "preset-depth-true", "preset-p-float", "preset-measure-overflows",
          *(f"{field}-{kind}" for kind in ("true", "string")
-           for field in ("ball-diameter", "ball-measure", "leaf-measure", "preset-measure"))],
+           for field in ("ball-diameter", "ball-measure", "leaf-measure", "preset-measure")),
+         "id-true", "id-null", "parent-true"],
 )
 def test_malformed_tree_spec_is_a_named_violation(tmp_path, capsys, doc, violation):
     path = tmp_path / "bad.json"
