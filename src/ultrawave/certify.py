@@ -6,8 +6,11 @@ transforms against the dense basis vectors, the eigenvalue closed form
 against the dense matrix, unitarity and the group law of free evolution,
 free and potential evolution against the dense propagator (small trees),
 heat-flow monotonicity and mean conservation, ball-by-ball localization of
-mean-zero packets, and the space-time product residual.  Results merge
-deterministically by instance index.
+mean-zero packets, and the space-time product residual.  The dense
+spectrum report of :func:`~.pdo.verify_spectrum` is formed once per
+instance, with the instance's one Gram matrix G, and the orthonormality
+and eigenrelation suites both read it: ``gram_identity`` is
+||G - I||_F.  Results merge deterministically by instance index.
 
 Deliberate corruptions ("sign-bug", "tamper-spectrum") are available as
 negative controls to show the checks actually bite.
@@ -34,6 +37,7 @@ from .evolution import (
 )
 from .pdo import (
     Spectrum,
+    SpectrumVerification,
     SupKernel,
     make_kernel,
     spectrum,
@@ -45,6 +49,9 @@ INJECTIONS = ("sign-bug", "tamper-spectrum")
 
 #: Most leaves of a random instance tree, small enough for the dense suites.
 _MAX_LEAVES = 200
+#: Most leaves of a tree on which free and potential evolution are compared
+#: with the dense propagator.
+_DENSE_LEAF_LIMIT = 64
 
 _TINY = 1e-300
 
@@ -147,14 +154,13 @@ Check = tuple[str, float, float]  # (name, value, tolerance); passes iff value <
 def orthonormality_checks(
     tree: BallTree,
     basis: WaveletBasis,
+    report: SpectrumVerification,
     rng: np.random.Generator,
 ) -> list[Check]:
-    gram = basis.gram()
-    gram[np.diag_indices_from(gram)] -= 1.0
-    gram_dev = float(np.abs(gram, out=gram).max())
+    """``gram_identity`` is ||G - I||_F, read from ``report``, which formed G."""
     count_dev = float(abs(basis.size - tree.n_leaves))
     return [
-        ("gram_identity", gram_dev, 1e-10),
+        ("gram_identity", report.gram_deviation, 1e-10),
         ("count_identity", count_dev, 0.0),
         ("transform_dense_equivalence", _transform_deviation(tree, basis, rng), 1e-12),
     ]
@@ -178,10 +184,7 @@ def _transform_deviation(
     return float(max(analyze_gap, synthesize_gap))
 
 
-def eigenrelation_checks(
-    tree: BallTree, kernel: SupKernel, basis: WaveletBasis, spec: Spectrum
-) -> list[Check]:
-    report = verify_spectrum(tree, kernel, basis, spec)
+def eigenrelation_checks(report: SpectrumVerification) -> list[Check]:
     return [
         ("eigen_residual", report.max_residual, report.residual_tol),
         ("eigen_multiset", report.multiset_max_diff, report.multiset_tol),
@@ -194,7 +197,6 @@ def unitarity_checks(
     basis: WaveletBasis,
     spec: Spectrum,
     rng: np.random.Generator,
-    dense_leaf_limit: int = 64,
 ) -> list[Check]:
     values = random_leaf_values(rng, tree)
     packet = WavePacket.from_leaf_values(basis, spec, values)
@@ -211,7 +213,7 @@ def unitarity_checks(
             1e-10,
         ),
     ]
-    if tree.n_leaves <= dense_leaf_limit:
+    if tree.n_leaves <= _DENSE_LEAF_LIMIT:
         dense_state = DensePropagator(tree, kernel).schrodinger(values, t1)
         deviation = tree.norm(first.leaf_values() - dense_state) / norm0
         checks.append(("spectral_dense_equivalence", deviation, 1e-8))
@@ -434,9 +436,12 @@ def run_certification(
         elif inject == "tamper-spectrum":
             spec = corrupt_spectrum(spec)
 
+        # the one Gram matrix of the instance is formed here, and both
+        # suites read the report
+        report = verify_spectrum(tree, instance_kernel, basis, spec)
         checks: list[Check] = []
-        checks += orthonormality_checks(tree, basis, rng)
-        checks += eigenrelation_checks(tree, instance_kernel, basis, spec)
+        checks += orthonormality_checks(tree, basis, report, rng)
+        checks += eigenrelation_checks(report)
         checks += unitarity_checks(tree, instance_kernel, basis, spec, rng)
         checks += heat_checks(tree, instance_kernel, basis, spec, rng)
         checks += localization_checks(tree, instance_kernel, basis, spec, rng)

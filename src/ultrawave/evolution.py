@@ -94,17 +94,34 @@ def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[Wave
 
     The constant coefficient is untouched (eigenvalue 0) and the
     coefficient magnitudes are preserved exactly.  A time at which
-    hbar*lambda*t overflows for the largest eigenvalue has no phase and is
-    rejected before any coefficient is propagated.
+    hbar*lambda*t overflows for the largest eigenvalue has no phase, and one
+    at which that phase is at least ``_PHASE_LIMIT`` has no digits of it;
+    both are rejected before any coefficient is propagated.
     """
     top = float(np.max(packet.spectrum.for_basis(packet.basis), initial=0.0))
     for t in config.times:
-        if not math.isfinite(config.hbar * top * t):
+        phase = config.hbar * top * t
+        if not math.isfinite(phase):
             raise ValueError(
                 f"time {t!r} is too large: hbar*lambda*t overflows for the largest "
                 f"eigenvalue lambda = {top!r} and hbar = {config.hbar!r}"
             )
+        _require_phase_digits(t, phase, "hbar*lambda*t for the largest eigenvalue")
     return _propagate(packet, -1j * config.hbar, config.times)
+
+
+#: Smallest |phase| in radians whose unit in the last place is 1 rad: at
+#: and beyond it a float phase carries no digit of the angle.
+_PHASE_LIMIT = 2.0**52
+
+
+def _require_phase_digits(t: float, phase: float, what: str) -> None:
+    """Reject the time ``t`` when the phase it gives, ``what``, has no digits."""
+    if abs(phase) >= _PHASE_LIMIT:
+        raise ValueError(
+            f"time {t!r} is too large: the phase {what} is {phase!r} rad, and one unit "
+            f"in its last place is {math.ulp(phase)!r} rad, so it has no digits"
+        )
 
 
 def evolve_heat(packet: WavePacket, times) -> list[WavePacket]:
@@ -144,13 +161,15 @@ def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 class DensePropagator:
-    """exp(-i*hbar*t*H) applied through the eigendecomposition of H.
+    """exp(-i*t*H) applied through the eigendecomposition of H.
 
     H is the kernel's operator, optionally plus a real diagonal
     ``potential`` (one value per leaf), built from the pair definition by
     :func:`~.pdo.symmetric_operator` in its symmetric sqrt(nu)-conjugated
     form.  Its eigendecomposition gives the exact propagator up to
-    linear-algebra accuracy, with no series truncation.
+    linear-algebra accuracy, with no series truncation.  An hbar enters
+    through the kernel and the potential, as ``evolve_with_potential``
+    scales them.
     """
 
     def __init__(self, tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None):
@@ -161,11 +180,11 @@ class DensePropagator:
             symmetric_operator(tree, kernel, potential).T
         )
 
-    def schrodinger(self, values, t: float, hbar: float = 1.0) -> np.ndarray:
-        """exp(-i*hbar*t*H) applied to a leaf function, matching the free spectral route."""
+    def schrodinger(self, values, t: float) -> np.ndarray:
+        """exp(-i*t*H) applied to a leaf function, matching the free spectral route."""
         v = self.tree.as_leaf_values(values)
         sym = real_matvec(self._eigenvectors.T, self._root_weights * v)
-        sym = np.exp(-1j * hbar * t * self._eigenvalues) * sym
+        sym = np.exp(-1j * t * self._eigenvalues) * sym
         return real_matvec(self._eigenvectors, sym) / self._root_weights
 
 
@@ -183,17 +202,24 @@ def evolve_with_potential(
     (``_dense_is_cheaper``), the Chebyshev route
     (``chebyshev_evolve_with_potential``) everywhere else; it rejects a
     half-width times max|t| above ``_CHEBYSHEV_MAX_WIDTH_TIME``.  Both
-    preserve the norm to linear-algebra accuracy.
+    preserve the norm to linear-algebra accuracy.  The dense route has no
+    such bound, so every route rejects a time t whose phase
+    max(|min|, |max|) * t over that spectrum overflows, or is at least
+    ``_PHASE_LIMIT`` and so has no digits.
     """
     v, u = _potential_inputs(tree, values, potential)
     spec = build_spectrum(tree, kernel)
     low, high = _spectral_bounds(spec.for_tree(tree), u, config.hbar)
     for t in config.times:
-        if not math.isfinite(max(abs(low), abs(high)) * t):
+        phase = max(abs(low), abs(high)) * t
+        if not math.isfinite(phase):
             raise ValueError(
                 f"time {t!r} is too large: t*H/hbar overflows for the spectrum of "
                 f"H/hbar in [{low!r}, {high!r}]"
             )
+        _require_phase_digits(
+            t, phase, f"t*H/hbar for the spectrum of H/hbar in [{low!r}, {high!r}]"
+        )
     longest = max((abs(t) for t in config.times), default=0.0)
     if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
         # H / hbar = hbar * operator + U / hbar, scaled as on the Chebyshev route:
@@ -516,11 +542,11 @@ def check_localization(
     leakage = None
     if not mean_zero:
         if demonstrate_leakage and ball is not None:
-            propagator = DensePropagator(tree, kernel)
+            # exp(-i hbar t M) is the propagator of the kernel times hbar
+            propagator = DensePropagator(tree, _scaled(tree, kernel, config.hbar))
             outside = _outside_mask(tree, ball)
             leakage = max(
-                _masked_norm(tree, propagator.schrodinger(v, t, config.hbar), outside)
-                for t in config.times
+                _masked_norm(tree, propagator.schrodinger(v, t), outside) for t in config.times
             )
         return LocalizationReport(
             support_ball=support,

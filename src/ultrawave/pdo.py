@@ -26,8 +26,9 @@ the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1, optionally
 plus a real diagonal potential; it is the one dense matrix behind both
 oracles.  ``verify_spectrum`` certifies the closed form with it: it takes
 each wavelet's residual in sqrt(nu) coordinates and, from the residuals
-and the basis's Gram matrix, a bound on the gap between the eigenvalues
-of S and the analytic multiset, in O(n^2) and with no eigensolver.
+and the basis's Gram matrix G, a bound on the gap between the eigenvalues
+of S and the analytic multiset, in O(n^2) and with no eigensolver; it
+reports ||G - I||_F too, the one measure of orthonormality the checks use.
 ``DensePropagator`` in :mod:`.evolution` evolves through the
 eigendecomposition of S.  S is bitwise symmetric, so it passes LAPACK
 S.T: the same values in column-major order, which numpy copies into
@@ -379,6 +380,7 @@ class SpectrumVerification:
     multiset_max_diff: float
     multiset_tol: float
     operator_norm: float
+    gram_deviation: float
 
     @property
     def residual_ok(self) -> bool:
@@ -422,8 +424,10 @@ def verify_spectrum(
     the eigenvalues of M and the analytic multiset (each ball's eigenvalue
     repeated once per wavelet, plus 0 for the constant), both sorted, at
     most ``_MULTISET_TOL``.  The report records both tolerances, beta as
-    ``multiset_max_diff`` and max |lambda| as ``operator_norm``, which is
-    within beta of ||M||.
+    ``multiset_max_diff``, max |lambda| as ``operator_norm``, which is
+    within beta of ||M||, and eta = ||G - I||_F, defined below, as
+    ``gram_deviation``: the basis's distance from orthonormal, and why
+    beta is ``inf`` when it exceeds 1/2.
 
     The operator is the symmetric matrix S = diag(r) M diag(r)^-1 with
     r = sqrt(nu) of :func:`symmetric_operator`, which has M's eigenvalues.
@@ -431,7 +435,9 @@ def verify_spectrum(
     vector S phi_k with phi_k = r psi_k, and
     ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
     the residual rows R_k = S phi_k - lambda_k phi_k are taken in these
-    coordinates, subtracting lambda_k phi_k on psi_k's support only.
+    coordinates, subtracting lambda_k phi_k on psi_k's support only.  Each
+    ||psi_k||_nu = ||phi_k||_2 in the residual's scale is sqrt(G_kk), read
+    off the Gram matrix G below.
 
     The bound needs no eigensolver (Weyl's theorem on the polar factor of
     the basis; Parlett, *The Symmetric Eigenvalue Problem*, 1980, ch. 11).
@@ -451,18 +457,20 @@ def verify_spectrum(
     eigensolver's backward error would not be.
 
     Two O(n^2) products decide everything, so the check costs O(n^2) time.
+    G is formed once, and :mod:`.certify`'s orthonormality check reads eta
+    from the report instead of forming G again.
     The Gram matrix is reduced and freed before S is built, so at most two
     n-by-n arrays are held at once.  No LAPACK routine runs, and every sum
     taken here is numpy's own, in a fixed order, not a BLAS product.
     """
     if basis.tree is not tree and basis.tree.leaves != tree.leaves:
         raise ValueError("basis was built for a different tree")
-    nu = tree.leaf_measures
-    r = np.sqrt(nu)
+    r = np.sqrt(tree.leaf_measures)
     lam = spec.for_basis(basis)
     operator_norm = float(np.max(np.abs(lam)))
 
     error = basis.gram()
+    vector_norms = np.sqrt(error.diagonal())
     error[np.diag_indices_from(error)] -= 1.0
     eta = math.sqrt(_sum_of_squares(error.ravel()))
     # E_jk (lambda_k - lambda_j) a row at a time, not as a second n-by-n array
@@ -478,12 +486,6 @@ def verify_spectrum(
     residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
     residual[-1] -= lam[-1] * basis.plan.constant * r
     residual_squares = _sum_of_squares(residual)
-    vector_norms = np.sqrt(
-        np.append(
-            np.bincount(wavelet, weights=nu[leaf] * value**2, minlength=basis.size - 1),
-            basis.plan.constant**2 * nu.sum(),
-        )
-    )
     scale = np.maximum(1.0, operator_norm * vector_norms)
     max_residual = float(np.max(np.sqrt(residual_squares) / scale))
     if eta <= 0.5:
@@ -497,6 +499,7 @@ def verify_spectrum(
         multiset_max_diff=bound,
         multiset_tol=_MULTISET_TOL,
         operator_norm=operator_norm,
+        gram_deviation=eta,
     )
 
 

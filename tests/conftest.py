@@ -64,3 +64,17 @@ def caterpillar():
 def star():
     """Builds the tree of n leaves under the root: ``star(n)``."""
     return _star
+
+
+@pytest.fixture
+def heavy_star():
+    """Tree document of 200 leaves under the root, leaf measures 10**U(-150, 150).
+
+    Under the constant kernel 0.5 its largest eigenvalue is about 1e149, so
+    the phase lambda * t of any time near 1 has no digits.
+    """
+    measures = 10.0 ** np.random.default_rng(0).uniform(-150, 150, 200)
+    leaves = [f"x{i}" for i in range(200)]
+    balls = [{"id": "r", "parent": None, "diameter": 1.0}]
+    balls += [{"id": leaf, "parent": "r", "diameter": 0.5} for leaf in leaves]
+    return {"balls": balls, "leaf_measures": dict(zip(leaves, measures.tolist()))}

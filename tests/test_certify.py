@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ultrawave as uw
-from ultrawave import evolution
+from ultrawave import certify, evolution
 from ultrawave.certify import (
     corrupt_basis_sign,
     orthonormality_checks,
@@ -14,7 +14,9 @@ from ultrawave.evolution import chebyshev_expm
 
 
 def _checks(tree, basis):
-    checks = orthonormality_checks(tree, basis, np.random.default_rng(0))
+    kernel = random_kernel(np.random.default_rng(1), tree)
+    report = uw.verify_spectrum(tree, kernel, basis, uw.spectrum(tree, kernel))
+    checks = orthonormality_checks(tree, basis, report, np.random.default_rng(0))
     return {name: (value, tol) for name, value, tol in checks}
 
 
@@ -54,9 +56,10 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monke
     monkeypatch.setattr(evolution, "chebyshev_expm", counting)
 
     def run(limit):
+        monkeypatch.setattr(certify, "_DENSE_LEAF_LIMIT", limit)
         rng = np.random.default_rng(14)
         checks = {name: (value, tol) for name, value, tol in
-                  unitarity_checks(tree, kernel, basis, spec, rng, dense_leaf_limit=limit)}
+                  unitarity_checks(tree, kernel, basis, spec, rng)}
         return checks, rng.random()
 
     checks, after = run(64)
@@ -70,6 +73,23 @@ def test_small_trees_compare_potential_evolution_with_the_dense_propagator(monke
     assert "potential_dense_equivalence" not in plain
     assert "spectral_dense_equivalence" not in plain
     assert plain_after != after
+
+
+def test_certify_forms_one_gram_matrix_per_instance(monkeypatch):
+    # the orthonormality suite reads ||G - I||_F from the spectrum report
+    gram = uw.WaveletBasis.gram
+    calls = []
+
+    def counting(basis):
+        calls.append(basis.size)
+        return gram(basis)
+
+    monkeypatch.setattr(uw.WaveletBasis, "gram", counting)
+    report = uw.run_certification(instances=3)
+    assert report.passed
+    assert len(calls) == 3
+    worst = {check.name: check.worst for check in report.checks}
+    assert 0.0 < worst["gram_identity"] <= 1e-10
 
 
 def test_negative_instance_count_is_rejected():

@@ -728,6 +728,37 @@ def test_evolve_rejects_a_time_whose_phase_overflows(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["schrodinger", "potential"])
+def test_evolve_rejects_a_time_whose_phase_has_no_digits(heavy_star, tmp_path, capsys, mode):
+    # the largest eigenvalue is about 1e149: one unit in the last place of
+    # the phase at t = 1 is about 1e133 rad
+    (tmp_path / "tree.json").write_text(json.dumps(heavy_star))
+    (tmp_path / "kernel.json").write_text(json.dumps({"r": 0.5}))
+    leaves = list(heavy_star["leaf_measures"])
+    for name in ("initial.csv", "potential.csv"):
+        with open(tmp_path / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["leaf_id", "re", "im"])
+            for k, leaf in enumerate(leaves):
+                writer.writerow([leaf, repr(float(k % 3) - 1.0), "0.0"])
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "evolve", "--tree", str(tmp_path / "tree.json"),
+            "--kernel", str(tmp_path / "kernel.json"),
+            "--initial", str(tmp_path / "initial.csv"), "--mode", mode,
+            *(["--potential", str(tmp_path / "potential.csv")] if mode == "potential" else []),
+            "--times", "0,1", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: time 1.0 is too large: the phase " in captured.err
+    assert "has no digits" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_evolve_potential_on_a_large_tree_rejects_a_time_past_the_chebyshev_bound(
     tmp_path, capsys
 ):
@@ -826,7 +857,7 @@ def test_report_keys_keep_their_order(tree_file, kernel_file, tmp_path):
     verify = json.loads((out / "verify.json").read_text())
     assert list(verify) == [
         "max_residual", "residual_tol", "multiset_max_diff", "multiset_tol", "operator_norm",
-        "passed",
+        "gram_deviation", "passed",
     ]
     assert (verify["residual_tol"], verify["multiset_tol"]) == (1e-10, 1e-8)
     certify = json.loads((out / "certify.json").read_text())

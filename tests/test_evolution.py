@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -606,6 +607,53 @@ def test_chebyshev_route_rejects_a_time_past_its_bound_at_once(binary_tree, bina
             np.array([1.0, -1.0, 0.0, 0.0]), np.zeros(4), binary_tree, binary_kernel, config
         )
     assert time.monotonic() - start < 1
+
+
+def _last_time_with_digits(top):
+    """The largest time t whose phase top * t is below the phase limit."""
+    t = evolution._PHASE_LIMIT / top
+    while top * t >= evolution._PHASE_LIMIT:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _phase_error(t):
+    return rf"^time {re.escape(repr(t))} is too large: the phase .* has no digits$"
+
+
+def test_schrodinger_rejects_a_phase_without_digits(heavy_star):
+    tree = uw.build_tree(uw.tree_spec_from_dict(heavy_star))
+    kernel = uw.constant_kernel(tree, 0.5)
+    packet = _packet(tree, kernel, random_leaf_values(np.random.default_rng(3), tree))
+    top = float(np.max(packet.spectrum.for_basis(packet.basis)))
+    assert top > 1e148
+    last = _last_time_with_digits(top)
+    for state in uw.evolve_schrodinger(packet, uw.EvolutionConfig(times=(last, -last))):
+        assert state.norm() == pytest.approx(packet.norm(), rel=1e-12)
+    for t in (math.nextafter(last, math.inf), -1.0):
+        with pytest.raises(ValueError, match=_phase_error(t)):
+            uw.evolve_schrodinger(packet, uw.EvolutionConfig(times=(0.0, t)))
+
+
+def test_potential_evolution_rejects_a_phase_without_digits(heavy_star, dense_builds):
+    tree = uw.build_tree(uw.tree_spec_from_dict(heavy_star))
+    kernel = uw.constant_kernel(tree, 0.5)
+    values = random_leaf_values(np.random.default_rng(3), tree)
+    potential = np.zeros(tree.n_leaves)
+    # the spectrum of H is [0, lambda_max]; the dense route has no product bound
+    top = float(uw.spectrum(tree, kernel).eigenvalues.array.max())
+    last = _last_time_with_digits(top)
+    (state,) = uw.evolve_with_potential(
+        values, potential, tree, kernel, uw.EvolutionConfig(times=(last,))
+    )
+    assert dense_builds.built == 1
+    assert tree.norm(state) == pytest.approx(tree.norm(values), rel=1e-10)
+    for t in (math.nextafter(last, math.inf), -1.0):
+        with pytest.raises(ValueError, match=_phase_error(t)):
+            uw.evolve_with_potential(
+                values, potential, tree, kernel, uw.EvolutionConfig(times=(0.0, t))
+            )
+    assert dense_builds.built == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -400,6 +400,23 @@ def test_verify_spectrum_agrees_with_the_dense_reference():
     assert {case for case, passed in verdicts if passed} == {"random", "zero", "padic"}
 
 
+def test_gram_deviation_is_the_dense_basis_distance_from_orthonormal():
+    # eta = ||G - I||_F from the dense basis vectors; beta is inf exactly when eta > 1/2
+    far = set()
+    for case, tree, kernel, basis, spec in _verification_cases():
+        report = uw.verify_spectrum(tree, kernel, basis, spec)
+        vectors = basis.matrix
+        gram = (vectors * tree.leaf_measures) @ vectors.T
+        eta = float(np.linalg.norm(gram - np.eye(basis.size)))
+        assert abs(report.gram_deviation - eta) <= 1e-14 + 1e-12 * eta, case
+        assert (report.multiset_max_diff == math.inf) == (report.gram_deviation > 0.5), case
+        assert (report.gram_deviation > 1e-10) == (case == "sign-bug"), case
+        if report.gram_deviation > 0.5:
+            far.add(case)
+    # only a sign bug moves the basis more than 1/2 from orthonormal
+    assert far == {"sign-bug"}
+
+
 def test_verify_spectrum_needs_a_basis_near_orthonormal(binary_tree):
     # under a zero kernel the sign-bugged vectors are still eigenvectors of
     # M = 0, and the dense eigenvalues are the analytic ones, but the basis
@@ -410,6 +427,7 @@ def test_verify_spectrum_needs_a_basis_near_orthonormal(binary_tree):
     assert _reference_verification(binary_tree, kernel, basis, spec) == (0.0, 0.0, 0.0)
     report = uw.verify_spectrum(binary_tree, kernel, basis, spec)
     assert report.max_residual == 0.0 and report.residual_ok
+    assert report.gram_deviation > 0.5
     assert report.multiset_max_diff == math.inf and not report.passed
 
 
