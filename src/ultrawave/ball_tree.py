@@ -296,9 +296,6 @@ class BallTree:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, ball_id: str) -> bool:
-        return ball_id in self._lookup
-
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_balls)

@@ -10,7 +10,10 @@ mean-zero packets, and the space-time product residual.  The dense
 spectrum report of :func:`~.pdo.verify_spectrum` is formed once per
 instance, with the instance's one Gram matrix G, and the orthonormality
 and eigenrelation suites both read it: ``gram_identity`` is
-||G - I||_F.  Results merge deterministically by instance index.
+||G - I||_F.  Likewise the localization suite reports the three figures
+of :class:`~.evolution.LocalizationReport`, each already relative to the
+packet, against the report's own tolerance.  Results merge
+deterministically by instance index.
 
 Deliberate corruptions ("sign-bug", "tamper-spectrum") are available as
 negative controls to show the checks actually bite.
@@ -290,20 +293,11 @@ def localization_checks(
     values = random_mean_zero_packet(rng, tree, ball)
     config = EvolutionConfig(times=tuple(rng.uniform(0.0, 10.0, 5)))
     report = check_localization(values, tree, kernel, config, basis=basis, spec=spec)
-    norm0 = max(report.initial_norm, _TINY)
     return [
         ("localization_precondition", 0.0 if report.mean_zero else 1.0, 0.0),
-        (
-            "localization_outside_mass",
-            max((s.outside_mass for s in report.samples), default=0.0) / norm0,
-            1e-10,
-        ),
-        (
-            "localization_mean",
-            max((s.mean_abs for s in report.samples), default=0.0) / report.mean_scale,
-            1e-10,
-        ),
-        ("localization_coefficients", report.coefficient_leak / max(1.0, norm0), 1e-10),
+        ("localization_outside_mass", report.relative_outside_mass, report.tol),
+        ("localization_mean", report.relative_mean, report.tol),
+        ("localization_coefficients", report.relative_leak, report.tol),
     ]
 
 
@@ -414,8 +408,11 @@ def run_certification(
     ``tree`` (and optionally a fixed ``kernel``, built for that tree)
     replaces the random tree in every instance; kernels still vary unless
     pinned.
-    ``inject`` applies a deliberate corruption so the run must fail.
+    ``inject`` applies a deliberate corruption so the run must fail.  A
+    negative ``seed`` or ``instances`` is a ``ValueError`` naming it.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
     if inject is not None and inject not in INJECTIONS:

@@ -68,9 +68,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
+#: Largest gap between an eigenvalue and its ``--expected`` value, relative
+#: to max(1, |eigenvalue|).
+_EXPECTED_TOL = 1e-10
+
+
 def cmd_spectrum(args) -> int:
-    if not 0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     # before the dense oracle runs and writes its outputs
     expected = None if args.expected is None else read_spectrum(args.expected)
     tree = build_tree(load_tree_spec(args.tree))
@@ -101,7 +104,7 @@ def cmd_spectrum(args) -> int:
     if expected is not None:
         want = np.array([expected.get(b, math.nan) for b in tree.internal], dtype=float)
         have = spec.for_tree(tree)
-        close = np.abs(want - have) <= args.tol * np.maximum(1.0, np.abs(have))
+        close = np.abs(want - have) <= _EXPECTED_TOL * np.maximum(1.0, np.abs(have))
         mismatches = [tree.internal[i] for i in np.flatnonzero(~close)[:5].tolist()]
         if mismatches:
             print(f"spectrum mismatch against {args.expected}: {mismatches!r}")
@@ -114,13 +117,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    # a threshold of max|value| or more leaves no support ball, and the
-    # outside mass would then read 0 whatever the state does
-    if not 0 <= args.tol < 1:
-        raise ValueError(
-            f"--tol must be in [0, 1): the support threshold must be nonnegative "
-            f"and below the largest value, got {args.tol}"
-        )
+    """Evolve the initial values and write ``trajectory.csv`` and ``summary.csv``.
+
+    ``summary.csv``'s ``outside_mass`` is measured outside the initial
+    state's support ball, taken at ``BallTree.ball_support``'s default
+    threshold 1e-12 * max|value|, the one its ``support_ball`` column uses.
+    """
     # before any file is read: loading a large tree takes seconds
     if args.mode == "potential" and args.potential is None:
         raise ValueError("--mode potential requires --potential")
@@ -147,7 +149,7 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # by preorder number: an id would need the id lookup table (about 1 s at 2**21 balls)
-    reference = tree._support_ball(values, args.tol * float(abs(values).max(initial=0.0)))
+    reference = tree._support_ball(values)
     write_trajectory(out / "trajectory.csv", tree, times, states)
     write_summary(out / "summary.csv", tree, times, states, reference)
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.csv'}")
@@ -159,8 +161,7 @@ def cmd_certify(args) -> int:
     kernel: SupKernel | None = None
     if args.kernel:
         if tree is None:
-            print("error: --kernel requires --tree", file=sys.stderr)
-            return 2
+            raise ValueError("--kernel requires --tree")
         kernel = load_kernel(args.kernel, tree)
     report = run_certification(
         seed=args.seed,
@@ -209,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", help="kernel JSON (ball id -> value, or a preset object)")
     p.add_argument("--alpha", type=float, help="use the diameter-power kernel preset")
     p.add_argument("--expected", help="compare against a previously written spectrum CSV")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_spectrum)
 
@@ -224,10 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated sample times")
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--potential", help="real potential CSV (columns leaf_id, re, im)")
-    p.add_argument(
-        "--tol", type=float, default=1e-12,
-        help="support detection threshold, relative to max|value|, in [0, 1)",
-    )
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_evolve)
 

@@ -93,20 +93,17 @@ def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[Wave
     """Free unitary evolution: coefficients rotate by exp(-i*hbar*lambda*t).
 
     The constant coefficient is untouched (eigenvalue 0) and the
-    coefficient magnitudes are preserved exactly.  A time at which
-    hbar*lambda*t overflows for the largest eigenvalue has no phase, and one
-    at which that phase is at least ``_PHASE_LIMIT`` has no digits of it;
-    both are rejected before any coefficient is propagated.
+    coefficient magnitudes are preserved exactly.  A time whose phase
+    hbar*lambda*t for the largest eigenvalue overflows or has no digits is
+    rejected by ``_require_phases`` before any coefficient is propagated.
     """
     top = float(np.max(packet.spectrum.for_basis(packet.basis), initial=0.0))
-    for t in config.times:
-        phase = config.hbar * top * t
-        if not math.isfinite(phase):
-            raise ValueError(
-                f"time {t!r} is too large: hbar*lambda*t overflows for the largest "
-                f"eigenvalue lambda = {top!r} and hbar = {config.hbar!r}"
-            )
-        _require_phase_digits(t, phase, "hbar*lambda*t for the largest eigenvalue")
+    _require_phases(
+        config.times,
+        config.hbar * top,
+        "hbar*lambda*t",
+        f"for the largest eigenvalue lambda = {top!r} and hbar = {config.hbar!r}",
+    )
     return _propagate(packet, -1j * config.hbar, config.times)
 
 
@@ -115,13 +112,19 @@ def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[Wave
 _PHASE_LIMIT = 2.0**52
 
 
-def _require_phase_digits(t: float, phase: float, what: str) -> None:
-    """Reject the time ``t`` when the phase it gives, ``what``, has no digits."""
-    if abs(phase) >= _PHASE_LIMIT:
-        raise ValueError(
-            f"time {t!r} is too large: the phase {what} is {phase!r} rad, and one unit "
-            f"in its last place is {math.ulp(phase)!r} rad, so it has no digits"
-        )
+def _require_phases(times, rate: float, name: str, context: str) -> None:
+    """Reject a time t whose phase ``rate * t``, called ``name`` ``context``
+    in the message, overflows or is at least ``_PHASE_LIMIT`` and so has no
+    digits."""
+    for t in times:
+        phase = rate * t
+        if not math.isfinite(phase):
+            raise ValueError(f"time {t!r} is too large: {name} overflows {context}")
+        if abs(phase) >= _PHASE_LIMIT:
+            raise ValueError(
+                f"time {t!r} is too large: the phase {name} {context} is {phase!r} rad, and "
+                f"one unit in its last place is {math.ulp(phase)!r} rad, so it has no digits"
+            )
 
 
 def evolve_heat(packet: WavePacket, times) -> list[WavePacket]:
@@ -130,18 +133,18 @@ def evolve_heat(packet: WavePacket, times) -> list[WavePacket]:
     for t in times:
         if t < 0:
             raise ValueError(f"heat evolution requires nonnegative times, got {t}")
+        if not math.isfinite(t):
+            raise ValueError(f"evolution times must be finite, got {t}")
     return _propagate(packet, -1.0, times)
 
 
 def _propagate(packet: WavePacket, rate: complex, times) -> list[WavePacket]:
-    """Multiply each coefficient by exp(rate * lambda * t), one state per time.
+    """Multiply each coefficient by exp(rate * lambda * t), one state per
+    finite time.
 
     A decay (a negative real rate) whose exponent overflows to -inf has the
     exact factor 0, so that overflow is not reported.
     """
-    for t in times:
-        if not math.isfinite(t):
-            raise ValueError(f"evolution times must be finite, got {t}")
     lam = packet.spectrum.for_basis(packet.basis)
     over = "ignore" if rate.imag == 0 and rate.real < 0 else np.geterr()["over"]
     with np.errstate(over=over):
@@ -208,18 +211,13 @@ def evolve_with_potential(
     ``_PHASE_LIMIT`` and so has no digits.
     """
     v, u = _potential_inputs(tree, values, potential)
-    spec = build_spectrum(tree, kernel)
-    low, high = _spectral_bounds(spec.for_tree(tree), u, config.hbar)
-    for t in config.times:
-        phase = max(abs(low), abs(high)) * t
-        if not math.isfinite(phase):
-            raise ValueError(
-                f"time {t!r} is too large: t*H/hbar overflows for the spectrum of "
-                f"H/hbar in [{low!r}, {high!r}]"
-            )
-        _require_phase_digits(
-            t, phase, f"t*H/hbar for the spectrum of H/hbar in [{low!r}, {high!r}]"
-        )
+    low, high = _spectral_bounds(build_spectrum(tree, kernel).for_tree(tree), u, config.hbar)
+    _require_phases(
+        config.times,
+        max(abs(low), abs(high)),
+        "t*H/hbar",
+        f"for the spectrum of H/hbar in [{low!r}, {high!r}]",
+    )
     longest = max((abs(t) for t in config.times), default=0.0)
     if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
         # H / hbar = hbar * operator + U / hbar, scaled as on the Chebyshev route:
@@ -227,7 +225,7 @@ def evolve_with_potential(
         # U / hbar**2 would overflow for hbar below about 1e-154
         propagator = DensePropagator(tree, _scaled(tree, kernel, config.hbar), u / config.hbar)
         return [propagator.schrodinger(v, t) for t in config.times]
-    return _chebyshev_route(tree, kernel, spec, v, u, config)
+    return _chebyshev_route(tree, kernel, (low, high), v, u, config)
 
 
 def chebyshev_evolve_with_potential(
@@ -240,7 +238,8 @@ def chebyshev_evolve_with_potential(
     there.
     """
     v, u = _potential_inputs(tree, values, potential)
-    return _chebyshev_route(tree, kernel, build_spectrum(tree, kernel), v, u, config)
+    bounds = _spectral_bounds(build_spectrum(tree, kernel).for_tree(tree), u, config.hbar)
+    return _chebyshev_route(tree, kernel, bounds, v, u, config)
 
 
 def _scaled(tree: BallTree, kernel: SupKernel, hbar: float) -> SupKernel:
@@ -251,16 +250,18 @@ def _scaled(tree: BallTree, kernel: SupKernel, hbar: float) -> SupKernel:
 def _chebyshev_route(
     tree: BallTree,
     kernel: SupKernel,
-    spec: Spectrum,
+    bounds: tuple[float, float],
     v: np.ndarray,
     u: np.ndarray,
     config: EvolutionConfig,
 ) -> list[np.ndarray]:
+    """exp(-i t H / hbar) v by ``chebyshev_expm``, for H / hbar with its
+    spectrum in ``bounds`` (from ``_spectral_bounds``)."""
     hbar = config.hbar
     product = pair_matvec(tree, _scaled(tree, kernel, hbar))
     # the expansion runs on H / hbar - centre, whose spectrum lies in
     # [-half_width, half_width]; the centre comes back as a phase
-    low, high = _spectral_bounds(spec.for_tree(tree), u, hbar)
+    low, high = bounds
     centre = (low + high) / 2
     shift = u / hbar - centre
 
@@ -461,13 +462,25 @@ class LocalizationSample:
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    """Outcome of a localization check.
+    """Outcome of a localization check, scored relative to the packet.
 
-    ``support_ball`` is the smallest ball covering the initial packet.
-    When the packet is not mean zero the check does not apply
-    (``mean_zero`` False); ``leakage_outside_mass`` then records how much
-    mass the dense propagator pushes outside the ball, demonstrating that
-    the mean-zero hypothesis is essential.
+    ``support_ball`` is the smallest ball B covering the initial packet f;
+    a zero packet has none (``None``) and takes the root as B.  Evolution
+    is linear, so each of the three figures below divides by the packet's
+    own scale and reads the same at every amplitude:
+
+    - ``relative_outside_mass``: the largest mass outside B over ||f||_nu;
+    - ``relative_mean``: the largest |integral of the state| over
+      ``mean_scale`` = sqrt(nu(X)) * ||f||_nu;
+    - ``relative_leak``: ``coefficient_leak``, the largest coefficient of a
+      wavelet outside B or of the constant, over ||f||_nu.
+
+    A zero packet reads 0 on all three.  ``passed`` holds when the packet
+    is mean zero and every figure is at most ``tol``.  When the packet is
+    not mean zero the check does not apply (``mean_zero`` False);
+    ``leakage_outside_mass`` then records how much mass the dense
+    propagator pushes outside the ball, demonstrating that the mean-zero
+    hypothesis is essential.
     """
 
     support_ball: str | None
@@ -480,20 +493,31 @@ class LocalizationReport:
     leakage_outside_mass: float | None = None
 
     @property
+    def relative_outside_mass(self) -> float:
+        outside = max((s.outside_mass for s in self.samples), default=0.0)
+        return _relative(outside, self.initial_norm)
+
+    @property
+    def relative_mean(self) -> float:
+        return _relative(max((s.mean_abs for s in self.samples), default=0.0), self.mean_scale)
+
+    @property
+    def relative_leak(self) -> float:
+        return _relative(self.coefficient_leak, self.initial_norm)
+
+    @property
     def passed(self) -> bool:
-        if not self.mean_zero:
-            return False
-        budget = self.tol * max(1.0, self.initial_norm)
-        if self.coefficient_leak > budget:
-            return False
-        return all(
-            s.outside_mass <= budget and s.mean_abs <= self.tol * self.mean_scale
-            for s in self.samples
-        )
+        figures = (self.relative_outside_mass, self.relative_mean, self.relative_leak)
+        return self.mean_zero and all(f <= self.tol for f in figures)
+
+
+def _relative(value: float, scale: float) -> float:
+    """``value / scale``; a zero packet's 0 / 0 reads 0, anything else over 0 inf."""
+    return value / scale if scale > 0 else (math.inf if value else 0.0)
 
 
 #: Relative tolerance of :func:`check_localization`: for the mean-zero
-#: precondition, the support threshold, and the leak and mean budgets.
+#: precondition, the support threshold, and the three figures of its report.
 _LOCALIZATION_TOL = 1e-10
 
 
@@ -512,7 +536,9 @@ def check_localization(
     configured time, and the mass outside B plus the integral of the state
     are measured.  Structurally both must vanish: a mean-zero packet in B
     expands purely over wavelets inside B, and evolution only rotates
-    coefficient phases, so any excess shows an implementation bug.
+    coefficient phases, so any excess shows an implementation bug.  The
+    report scores them, and the coefficients outside B, relative to the
+    packet (:class:`LocalizationReport`), against ``_LOCALIZATION_TOL``.
 
     The packet counts as mean zero when |integral of f nu| is at most
     ``_LOCALIZATION_TOL * sqrt(nu(B)) * ||f||_nu``: the mass a mean can
@@ -531,66 +557,48 @@ def check_localization(
         spec = build_spectrum(tree, kernel)
 
     norm0 = tree.norm(v)
-    mean_scale = max(1.0, math.sqrt(tree.total_measure) * norm0)
+    mean_scale = math.sqrt(tree.total_measure) * norm0
     max_abs = float(np.max(np.abs(v), initial=0.0))
     ball = tree._support_ball(v, _LOCALIZATION_TOL * max_abs)
     support = None if ball is None else tree.ids_of(ball)
-    # a zero packet has no ball, and its mean 0 meets the bound 0
-    ball_measure = 0.0 if ball is None else float(tree.measure[ball])
-    mean_zero = abs(mean(tree, v)) <= _LOCALIZATION_TOL * math.sqrt(ball_measure) * norm0
-
-    leakage = None
-    if not mean_zero:
-        if demonstrate_leakage and ball is not None:
-            # exp(-i hbar t M) is the propagator of the kernel times hbar
-            propagator = DensePropagator(tree, _scaled(tree, kernel, config.hbar))
-            outside = _outside_mask(tree, ball)
-            leakage = max(
-                _masked_norm(tree, propagator.schrodinger(v, t), outside) for t in config.times
-            )
-        return LocalizationReport(
-            support_ball=support,
-            mean_zero=False,
-            initial_norm=norm0,
-            coefficient_leak=0.0,
-            samples=(),
-            tol=_LOCALIZATION_TOL,
-            mean_scale=mean_scale,
-            leakage_outside_mass=leakage,
-        )
-
-    packet = WavePacket.from_leaf_values(basis, spec, v)
     if ball is None:
-        coefficient_leak = float(np.max(np.abs(packet.coefficients), initial=0.0))
-        outside = np.ones(tree.n_leaves, dtype=bool)
-    else:
-        start, _, stop = basis.support()
-        inside = np.append(
-            (start >= tree.leaf_start[ball]) & (stop <= tree.leaf_stop[ball]), False
-        )
-        coefficient_leak = float(
-            np.max(np.abs(packet.coefficients[~inside]), initial=0.0)
-        )
-        outside = _outside_mask(tree, ball)
+        ball = 0  # only a zero packet has no support ball; the root is its reference
+    ball_measure = float(tree.measure[ball])
+    mean_zero = abs(mean(tree, v)) <= _LOCALIZATION_TOL * math.sqrt(ball_measure) * norm0
+    outside = _outside_mask(tree, ball)
 
-    samples = []
-    for t, state in zip(config.times, evolve_schrodinger(packet, config)):
-        leaf = state.leaf_values()
-        samples.append(
-            LocalizationSample(
-                time=t,
-                outside_mass=_masked_norm(tree, leaf, outside),
-                mean_abs=abs(mean(tree, leaf)),
+    leakage, coefficient_leak, samples = None, 0.0, []
+    if mean_zero:
+        packet = WavePacket.from_leaf_values(basis, spec, v)
+        start, _, stop = basis.support()
+        inside = (start >= tree.leaf_start[ball]) & (stop <= tree.leaf_stop[ball])
+        coefficient_leak = float(
+            np.max(np.abs(packet.coefficients[~np.append(inside, False)]), initial=0.0)
+        )
+        for t, state in zip(config.times, evolve_schrodinger(packet, config)):
+            leaf = state.leaf_values()
+            samples.append(
+                LocalizationSample(
+                    time=t,
+                    outside_mass=_masked_norm(tree, leaf, outside),
+                    mean_abs=abs(mean(tree, leaf)),
+                )
             )
+    elif demonstrate_leakage:
+        # exp(-i hbar t M) is the propagator of the kernel times hbar
+        propagator = DensePropagator(tree, _scaled(tree, kernel, config.hbar))
+        leakage = max(
+            _masked_norm(tree, propagator.schrodinger(v, t), outside) for t in config.times
         )
     return LocalizationReport(
         support_ball=support,
-        mean_zero=True,
+        mean_zero=mean_zero,
         initial_norm=norm0,
         coefficient_leak=coefficient_leak,
         samples=tuple(samples),
         tol=_LOCALIZATION_TOL,
         mean_scale=mean_scale,
+        leakage_outside_mass=leakage,
     )
 
 

@@ -483,8 +483,8 @@ def verify_spectrum(
     sym *= r[:, None]
     residual = basis.matrix_times(sym)
     wavelet, leaf, value = basis._entries()
+    # the constant's eigenvalue is 0, so its row is S phi alone
     residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
-    residual[-1] -= lam[-1] * basis.plan.constant * r
     residual_squares = _sum_of_squares(residual)
     scale = np.maximum(1.0, operator_norm * vector_norms)
     max_residual = float(np.max(np.sqrt(residual_squares) / scale))

@@ -95,3 +95,34 @@ def test_certify_forms_one_gram_matrix_per_instance(monkeypatch):
 def test_negative_instance_count_is_rejected():
     with pytest.raises(ValueError, match="instances must be >= 0"):
         uw.run_certification(instances=-3)
+
+
+def test_negative_seed_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        uw.run_certification(seed=-1, instances=1)
+
+
+def test_localization_suite_reports_the_figures_of_the_library(monkeypatch):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(evolution.check_localization(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(certify, "check_localization", recording)
+    for index in range(4):
+        rng = np.random.default_rng([42, index])
+        tree = random_tree(rng, max_leaves=60, min_depth=2)
+        kernel = random_kernel(rng, tree)
+        checks = certify.localization_checks(
+            tree, kernel, uw.build_basis(tree), uw.spectrum(tree, kernel), rng
+        )
+        report = reports[-1]
+        assert checks == [
+            ("localization_precondition", 0.0, 0.0),
+            ("localization_outside_mass", report.relative_outside_mass, report.tol),
+            ("localization_mean", report.relative_mean, report.tol),
+            ("localization_coefficients", report.relative_leak, report.tol),
+        ]
+        assert report.passed and report.relative_leak > 0.0
+    assert len(reports) == 4

@@ -350,23 +350,6 @@ def test_spectrum_nan_expected_values_are_a_mismatch(tree_file, kernel_file, tmp
     assert "mismatch" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
-def test_spectrum_rejects_a_non_finite_or_negative_tol(
-    tree_file, kernel_file, tmp_path, capsys, tol
-):
-    expected = tmp_path / "wrong.csv"
-    expected.write_text("ball_id,p_I,lambda\r\nr,2,123.0\r\nr.0,2,123.0\r\nr.1,2,123.0\r\n")
-    rc = main(
-        [
-            "spectrum", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--out", str(tmp_path / "out"), "--expected", str(expected), f"--tol={tol}",
-        ]
-    )
-    assert rc == 2
-    assert "--tol must be finite and nonnegative" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_spectrum_deterministic_output(tree_file, kernel_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -642,37 +625,18 @@ def test_evolve_rejects_a_complex_potential(tree_file, kernel_file, tmp_path, ca
     assert not out.exists()
 
 
-def test_evolve_nan_support_threshold_is_usage_error(tree_file, kernel_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_tol_is_not_an_option(tree_file, kernel_file, tmp_path, capsys, command):
     initial = _write_initial(tmp_path, [1.0, -1.0, 0.0, 0.0])
     out = tmp_path / "out"
-    rc = main(
-        [
-            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--initial", str(initial), "--times", "0,1", "--tol", "nan", "--out", str(out),
-        ]
-    )
-    assert rc == 2
-    assert "support threshold must be nonnegative" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
-
-
-@pytest.mark.parametrize("tol", ["1", "inf"])
-def test_evolve_support_threshold_of_one_or_more_is_usage_error(
-    tree_file, kernel_file, tmp_path, capsys, tol
-):
-    # the packet has nonzero mean and leaks out of r.0; a threshold that
-    # leaves no support ball would report its outside mass as 0
-    initial = _write_initial(tmp_path, [1.0, 2.0, 0.0, 0.0])
-    out = tmp_path / "out"
-    rc = main(
-        [
-            "evolve", "--tree", str(tree_file), "--kernel", str(kernel_file),
-            "--initial", str(initial), "--times", "0,1", "--tol", tol, "--out", str(out),
-        ]
-    )
-    assert rc == 2
-    assert "--tol must be in [0, 1)" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    argv = [command, "--tree", str(tree_file), "--kernel", str(kernel_file), "--out", str(out)]
+    if command == "evolve":
+        argv += ["--initial", str(initial), "--times", "0,1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--tol", "1e-12"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["schrodinger", "potential"])
@@ -917,8 +881,18 @@ def test_certify_builds_a_pinned_tree_once_and_binds_the_kernel_to_it(
     assert len(built) == 1 and bound == [True, True]
 
 
-def test_certify_kernel_without_tree_is_usage_error(kernel_file):
+def test_certify_kernel_without_tree_is_usage_error(kernel_file, capsys):
     assert main(["certify", "--kernel", str(kernel_file), "--instances", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --kernel requires --tree\n"
+    assert captured.out == ""
+
+
+def test_certify_negative_seed_is_usage_error_naming_the_seed(capsys):
+    assert main(["certify", "--seed", "-1", "--instances", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_certify_reports_are_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -817,6 +818,36 @@ def test_zero_packet_is_mean_zero_and_stays_zero(binary_tree, binary_kernel):
     assert report.mean_zero and report.passed
     assert report.support_ball is None
     assert all(s.outside_mass == 0.0 and s.mean_abs == 0.0 for s in report.samples)
+    figures = (report.relative_outside_mass, report.relative_mean, report.relative_leak)
+    assert figures == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_a_leak_fails_localization_at_every_amplitude(
+    binary_tree, binary_kernel, monkeypatch, scale
+):
+    """Each evolved state gains 0.1 * ||f|| on the constant: a tenth of the
+    packet, spread over the whole space, whatever the packet's amplitude."""
+    evolve = evolution.evolve_schrodinger
+
+    def leaky(packet, config):
+        constant = np.zeros(packet.basis.size)
+        constant[-1] = 0.1 * packet.norm()
+        return [
+            dataclasses.replace(s, coefficients=s.coefficients + constant)
+            for s in evolve(packet, config)
+        ]
+
+    values = scale * np.array([1.0, -1.0, 0.0, 0.0])
+    config = uw.EvolutionConfig(times=(0.5, 2.0))
+    monkeypatch.setattr(evolution, "evolve_schrodinger", leaky)
+    report = uw.check_localization(values, binary_tree, binary_kernel, config)
+    assert report.mean_zero and report.support_ball == "r.0"
+    assert not report.passed
+    # half the measure lies outside r.0, and the constant's mean is 0.1 ||f||
+    assert report.relative_outside_mass == pytest.approx(0.1 * math.sqrt(0.5), rel=1e-12)
+    assert report.relative_mean == pytest.approx(0.1, rel=1e-12)
+    assert report.relative_leak == 0.0
 
 
 def test_localization_fuzzed_packets():
