@@ -179,6 +179,29 @@ def running_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
     return out
 
 
+#: The smallest normal float: a sum of squares below it has lost digits.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
+def _weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum |values|^2 weights), by numpy's fixed-order ``sum``.
+
+    When that plain sum underflows below the smallest normal float or
+    overflows, it is taken again with every |value| divided by max|values|
+    first, as LAPACK's nrm2 scales, so a function of values below about
+    1e-154 or above 1e154 keeps its digits instead of reading 0 or inf.
+    A plain sum in range is returned as it is.
+    """
+    mags = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = np.sum(mags**2 * weights)
+    if not _NORMAL_MIN <= total < math.inf:
+        scale = float(np.max(mags, initial=0.0))
+        if 0.0 < scale < math.inf:
+            return scale * float(np.sqrt(np.sum((mags / scale) ** 2 * weights)))
+    return float(np.sqrt(total))
+
+
 class BallTree:
     """Immutable rooted tree of measured balls, stored as preorder arrays.
 
@@ -342,8 +365,8 @@ class BallTree:
         return v
 
     def norm(self, f) -> float:
-        fv = self.as_leaf_values(f)
-        return float(np.sqrt(np.sum(np.abs(fv) ** 2 * self.leaf_measures)))
+        """||f||_nu, the measure-weighted 2-norm of a leaf function."""
+        return _weighted_norm(self.as_leaf_values(f), self.leaf_measures)
 
     def ball_support(self, values, tol: float | None = None) -> str | None:
         """Smallest ball covering every leaf where ``|values|`` exceeds ``tol``.

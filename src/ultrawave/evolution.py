@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import column, csv_fields, float_column, read_csv, write_csv
-from .ball_tree import BallTree, BallValues, _require_finite
+from .ball_tree import BallTree, BallValues, _require_finite, _weighted_norm
 from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, pair_matvec, symmetric_operator
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
@@ -611,7 +611,7 @@ def _outside_mask(tree: BallTree, ball: int) -> np.ndarray:
 
 def _masked_norm(tree: BallTree, values, mask: np.ndarray) -> float:
     v = tree.as_leaf_values(values)
-    return float(np.sqrt(np.sum(np.abs(v[mask]) ** 2 * tree.leaf_measures[mask])))
+    return _weighted_norm(v[mask], tree.leaf_measures[mask])
 
 
 @dataclass(frozen=True)

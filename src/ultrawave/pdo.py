@@ -29,6 +29,9 @@ each wavelet's residual in sqrt(nu) coordinates and, from the residuals
 and the basis's Gram matrix G, a bound on the gap between the eigenvalues
 of S and the analytic multiset, in O(n^2) and with no eigensolver; it
 reports ||G - I||_F too, the one measure of orthonormality the checks use.
+G itself is never formed: every off-diagonal entry is a constant times one
+wavelet's integral, so ``_gram_deviation`` reads what the bound needs off
+the basis plan's block structure.
 ``DensePropagator`` in :mod:`.evolution` evolves through the
 eigendecomposition of S.  S is bitwise symmetric, so it passes LAPACK
 S.T: the same values in column-major order, which numpy copies into
@@ -54,7 +57,7 @@ import numpy as np
 
 from .artifacts import column, csv_fields, float_column, read_csv, write_csv
 from .ball_tree import _NOT_NUMBERS, BallTree, BallValues, _is_json_number, internal_values
-from .wavelet import WaveletBasis
+from .wavelet import WaveletBasis, _sibling_sums
 
 
 def _require_ball_values(owner: str, values) -> None:
@@ -346,6 +349,10 @@ def pair_matvec(tree: BallTree, kernel: SupKernel):
     return matvec
 
 
+#: Entries of the scale block :func:`symmetric_operator` forms at a time (512 KB).
+_SCALE_BLOCK = 1 << 16
+
+
 def symmetric_operator(
     tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None
 ) -> np.ndarray:
@@ -364,9 +371,10 @@ def symmetric_operator(
     diagonal = sym @ nu - sym.diagonal() * nu
     if potential is not None:
         diagonal += potential
-    # np.outer(-r, r) a row at a time, not as a second n-by-n array
-    for x, row in enumerate(sym):
-        row *= -r[x] * r
+    # np.outer(-r, r) a block of rows at a time, not as a second n-by-n array
+    step = max(1, _SCALE_BLOCK // len(r))
+    for a in range(0, len(r), step):
+        sym[a : a + step] *= np.outer(-r[a : a + step], r)
     np.fill_diagonal(sym, diagonal)
     return sym
 
@@ -413,6 +421,74 @@ def _sum_of_squares(a: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, a)
 
 
+def _gram_deviation(
+    basis: WaveletBasis, ball_lambda: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """eta = ||G - I||_F, ||E Lambda - Lambda E||_F and diag(G), read off the plan.
+
+    G is ``basis.gram()``, E = G - I and Lambda the eigenvalue per basis
+    element, ``ball_lambda`` being the one per internal ball in preorder.
+    Two basis functions overlap only where one's ball holds the other's
+    support, and there the outer one is constant, so no n-by-n array is
+    needed.  Wavelet k of ball A is ``pos`` on A's children before its own,
+    of mass M, and ``neg`` on its child, of mass m, so
+
+        G_kk = pos^2 M + neg^2 m,    s_k = pos M + neg m = integral of psi_k,
+
+    and every off-diagonal entry of row k is a value of the other function
+    on A times s_k: ``pos`` of each later wavelet of A, the value v_w(A) of
+    each wavelet w of a strict ancestor, and the constant c.  Summing the
+    squares, with U(A) the sum of v_w(A)^2 over the ancestors' wavelets
+    plus c^2,
+
+        eta^2 = sum (G_kk - 1)^2 + (c^2 nu(X) - 1)^2 + 2 sum s_k^2 (later_k + U(A)).
+
+    Same-ball pairs share lambda, so the commutator's square is
+    2 sum s_k^2 [c^2 lambda_k^2 + sum_w v_w(A)^2 (lambda_w - lambda_k)^2],
+    the square of each gap taken as it is, not expanded, which would cancel.
+
+    Ball masses are the tree's sums of the leaf measures, not
+    ``tree.measure``, from which the Helmert values were built, so a wrong
+    ball measure shows in eta as it does in the dense product.  The work is
+    O(n) plus one step per internal ball and ancestor, and every sum is
+    numpy's own, in a fixed order.
+    """
+    tree, p = basis.tree, basis.plan
+    parent, child = tree.parent, p.child
+    mass = tree.ball_integrals(tree.leaf_measures)
+    before = _sibling_sums(mass, p.scan, before=True)[child]
+    within = mass[child]
+    diagonal = np.append(p.pos**2 * before + p.neg**2 * within, p.constant**2 * mass[0])
+    integral = p.pos * before + p.neg * within
+    # per ball C, the squares of its parent's wavelet values on C: pos^2 of
+    # every later sibling's wavelet plus neg^2 of C's own; the root's parent
+    # is the constant, with eigenvalue 0
+    square = np.zeros(len(tree))
+    square[child] = p.pos**2
+    later = _sibling_sums(square, p.scan, before=False)
+    square = later.copy()
+    square[child] += p.neg**2
+    square[0] = p.constant**2
+    lam = np.zeros(len(tree))
+    lam[tree.internal_balls] = ball_lambda
+    lam_above = lam[np.maximum(parent, 0)]
+    lam_above[0] = 0.0
+    # per internal ball A, sum over C from A up to the root of
+    # square(C) (lambda(parent(C)) - lambda(A))^2, one level per step
+    spread = np.zeros(len(ball_lambda))
+    rows, ball = np.arange(len(ball_lambda)), tree.internal_balls
+    while rows.size:
+        spread[rows] += square[ball] * (lam_above[ball] - ball_lambda[rows]) ** 2
+        up = ball > 0
+        rows, ball = rows[up], parent[ball[up]]
+    above = tree.path_sums(square)[parent[child]]
+    off_diagonal = 2.0 * np.sum(integral**2 * (later[child] + above))
+    eta = math.sqrt(_sum_of_squares(diagonal - 1.0) + off_diagonal)
+    rank = tree.internal_rank[parent[child]]
+    commutator = math.sqrt(2.0 * np.sum(integral**2 * spread[rank]))
+    return eta, commutator, diagonal
+
+
 def verify_spectrum(
     tree: BallTree, kernel: SupKernel, basis: WaveletBasis, spec: Spectrum
 ) -> SpectrumVerification:
@@ -436,8 +512,8 @@ def verify_spectrum(
     ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
     the residual rows R_k = S phi_k - lambda_k phi_k are taken in these
     coordinates, subtracting lambda_k phi_k on psi_k's support only.  Each
-    ||psi_k||_nu = ||phi_k||_2 in the residual's scale is sqrt(G_kk), read
-    off the Gram matrix G below.
+    ||psi_k||_nu = ||phi_k||_2 in the residual's scale is sqrt(G_kk), G
+    the Gram matrix below.
 
     The bound needs no eigensolver (Weyl's theorem on the polar factor of
     the basis; Parlett, *The Symmetric Eigenvalue Problem*, 1980, ch. 11).
@@ -456,28 +532,25 @@ def verify_spectrum(
     beta is ``inf``.  Rounding in forming R and E is not bounded, just as an
     eigensolver's backward error would not be.
 
-    Two O(n^2) products decide everything, so the check costs O(n^2) time.
-    G is formed once, and :mod:`.certify`'s orthonormality check reads eta
-    from the report instead of forming G again.
-    The Gram matrix is reduced and freed before S is built, so at most two
-    n-by-n arrays are held at once.  No LAPACK routine runs, and every sum
-    taken here is numpy's own, in a fixed order, not a BLAS product.
+    E is never formed: :func:`_gram_deviation` reads eta,
+    ||E Lambda - Lambda E||_F and diag(G) off the plan's block structure in
+    O(n) plus one step per internal ball and ancestor, with ball masses
+    summed from the leaf measures, so a ball measure the Helmert values
+    disagree with still shows in eta.  ``basis.gram()`` is the dense
+    reference the tests compare it with; no library routine calls it.
+    :mod:`.certify`'s orthonormality check reads eta from the report.
+    The residual product alone costs O(n^2), and at most two n-by-n
+    arrays, S and the residual, are held at once.  No LAPACK routine runs,
+    and every sum taken here is numpy's own, in a fixed order, not a BLAS
+    product.
     """
     if basis.tree is not tree and basis.tree.leaves != tree.leaves:
         raise ValueError("basis was built for a different tree")
     r = np.sqrt(tree.leaf_measures)
     lam = spec.for_basis(basis)
     operator_norm = float(np.max(np.abs(lam)))
-
-    error = basis.gram()
-    vector_norms = np.sqrt(error.diagonal())
-    error[np.diag_indices_from(error)] -= 1.0
-    eta = math.sqrt(_sum_of_squares(error.ravel()))
-    # E_jk (lambda_k - lambda_j) a row at a time, not as a second n-by-n array
-    for j in range(basis.size):
-        error[j] *= lam - lam[j]
-    commutator = math.sqrt(_sum_of_squares(error.ravel()))
-    del error
+    eta, commutator, gram_diagonal = _gram_deviation(basis, spec.for_tree(basis.tree))
+    vector_norms = np.sqrt(gram_diagonal)
 
     sym = symmetric_operator(tree, kernel)
     sym *= r[:, None]

@@ -28,7 +28,9 @@ log of the arity, not with n.
 The dense oracles work from the same plan.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
 per column of ``y``, without building ``matrix``; ``gram`` is one such
-product.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
+product, the dense reference for the Gram deviation that
+:func:`.pdo.verify_spectrum` reads off the plan, and no library routine
+calls it.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
 rebuilt on every access, so hold one reference per use); it exists for the
 transform cross-check and tests.  Wavelet k belongs to ball
 ``tree.parent[plan.child[k]]``; a ball's wavelets are consecutive, in index
@@ -199,7 +201,8 @@ class WaveletBasis:
         """Measure-weighted Gram matrix; identity for a correct basis.
 
         ``matrix_times`` of the n-by-size array diag(nu) matrix^T, which is
-        filled from the wavelets' supports.
+        filled from the wavelets' supports.  O(n^2); the dense reference
+        for ``pdo._gram_deviation``, which needs no n-by-n array.
         """
         nu = self.tree.leaf_measures
         wavelet, leaf, value = self._entries()

@@ -18,7 +18,7 @@ import pytest
 
 import ultrawave as uw
 from ultrawave import artifacts, evolution
-from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec
+from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec, _weighted_norm
 from ultrawave.evolution import write_summary, write_trajectory
 from ultrawave.pdo import Spectrum, write_spectrum
 
@@ -51,7 +51,7 @@ def _reference_summary(path, tree, times, states, reference_ball):
         for t, state in zip(times, states):
             v = tree.as_leaf_values(state)
             m = uw.mean(tree, v)
-            masked = float(np.sqrt(np.sum(np.abs(v[outside]) ** 2 * tree.leaf_measures[outside])))
+            masked = _weighted_norm(v[outside], tree.leaf_measures[outside])
             writer.writerow(
                 [
                     repr(float(t)),

@@ -850,6 +850,33 @@ def test_a_leak_fails_localization_at_every_amplitude(
     assert report.relative_leak == 0.0
 
 
+def test_a_leak_from_a_tiny_packet_fails_localization(binary_tree, binary_kernel, monkeypatch):
+    """A packet of values near 1e-170, whose squares underflow, keeps its
+    norm, and 1e-171 added to the root wavelet's coefficient of every
+    evolved state, a tenth of the packet leaking out of r.0, fails."""
+    evolve = evolution.evolve_schrodinger
+    values = 1e-170 * np.array([1.0, -1.0, 0.0, 0.0])
+    config = uw.EvolutionConfig(times=(0.5, 2.0))
+    report = uw.check_localization(values, binary_tree, binary_kernel, config)
+    assert report.initial_norm == pytest.approx(1e-170 * math.sqrt(0.5), rel=1e-15, abs=0.0)
+    assert report.mean_zero and report.passed
+
+    def leaky(packet, config):
+        root_wavelet = np.zeros(packet.basis.size)
+        root_wavelet[0] = 1e-171
+        return [
+            dataclasses.replace(s, coefficients=s.coefficients + root_wavelet)
+            for s in evolve(packet, config)
+        ]
+
+    monkeypatch.setattr(evolution, "evolve_schrodinger", leaky)
+    report = uw.check_localization(values, binary_tree, binary_kernel, config)
+    assert report.mean_zero and report.support_ball == "r.0"
+    assert not report.passed
+    # the root wavelet is -1 on r.1, half the measure
+    assert report.relative_outside_mass == pytest.approx(0.1, rel=1e-12)
+
+
 def test_localization_fuzzed_packets():
     rng = np.random.default_rng(31)
     for _ in range(6):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,6 +17,7 @@ from ultrawave.certify import (
     random_tree_spec,
 )
 from ultrawave.pdo import (
+    _gram_deviation,
     _sup_kernel,
     pair_matvec,
     read_spectrum,
@@ -415,6 +418,77 @@ def test_gram_deviation_is_the_dense_basis_distance_from_orthonormal():
             far.add(case)
     # only a sign bug moves the basis more than 1/2 from orthonormal
     assert far == {"sign-bug"}
+
+
+def _with_plan(basis, **arrays):
+    """``basis`` with some of its plan's arrays replaced."""
+    return uw.WaveletBasis(basis.tree, dataclasses.replace(basis.plan, **arrays))
+
+
+def _gram_cases(caterpillar, star, heavy_star):
+    """(case, basis, spectrum, cancellation) for the structured Gram deviation.
+
+    ``cancellation`` is None for a clean basis; for a corrupted one, how
+    much the wavelet integrals the commutator is made of amplify rounding.
+    """
+    rng = np.random.default_rng(43)
+    trees = [random_tree(rng, max_leaves=200, max_children=8) for _ in range(8)]
+    trees += [caterpillar(300), star(500), uw.build_tree(uw.tree_spec_from_dict(heavy_star))]
+    trees += [uw.build_tree(uw.padic_preset(p, depth)) for p, depth in ((2, 8), (3, 4), (5, 2))]
+    trees.append(uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),))))
+    for index, tree in enumerate(trees):
+        basis = uw.build_basis(tree)
+        kernel = random_kernel(rng, tree)
+        spec = uw.spectrum(tree, kernel)
+        yield f"tree {index}", basis, spec, None
+        yield f"zero kernel {index}", basis, uw.spectrum(tree, uw.constant_kernel(tree, 0.0)), None
+        if basis.size > 1:
+            yield f"sign-bug {index}", corrupt_basis_sign(basis), spec, 1.0
+            pos = basis.plan.pos.copy()
+            pos[int(rng.integers(pos.size))] *= 1 + 1e-6
+            # that wavelet's integral is 1e-6 of its two terms, so both
+            # routes round it with 1e6 times the relative error
+            yield f"scaled pos {index}", _with_plan(basis, pos=pos), spec, 1e6
+        if len(tree.internal_balls) > 1:
+            # Helmert values from a ball measure 1.5 times its leaves' sum
+            wrong = copy.copy(tree)
+            wrong.measure = tree.measure.copy()
+            wrong.measure[tree.internal_balls[1]] *= 1.5
+            yield f"wrong measure {index}", uw.build_basis(wrong), spec, 1.0
+
+
+def test_gram_deviation_matches_the_dense_gram_matrix(caterpillar, star, heavy_star):
+    # eta, the commutator and diag(G) from the plan against basis.gram()
+    for case, basis, spec, cancellation in _gram_cases(caterpillar, star, heavy_star):
+        eta, commutator, diagonal = _gram_deviation(basis, spec.for_tree(basis.tree))
+        gram = basis.gram()
+        lam = spec.for_basis(basis)
+        error = gram - np.eye(basis.size)
+        dense_eta = float(np.linalg.norm(error))
+        dense_commutator = float(np.linalg.norm(error * (lam - lam[:, None])))
+        assert abs(eta - dense_eta) <= 1e-14 + 1e-12 * dense_eta, case
+        np.testing.assert_allclose(diagonal, gram.diagonal(), rtol=1e-12, atol=1e-14, err_msg=case)
+        # a clean basis's commutator is rounding, at most this
+        rounding = 1e-13 * max(1.0, float(np.max(np.abs(lam))))
+        if cancellation:
+            tol = 1e-12 * cancellation * dense_commutator + rounding
+            assert abs(commutator - dense_commutator) <= tol, case
+        else:
+            assert commutator <= rounding and dense_commutator <= rounding, case
+
+
+def test_a_nan_helmert_weight_fails_the_spectrum_check(caterpillar):
+    tree = caterpillar(50)
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    spec = uw.spectrum(tree, kernel)
+    basis = uw.build_basis(tree)
+    assert uw.verify_spectrum(tree, kernel, basis, spec).passed
+    pos = basis.plan.pos.copy()
+    pos[7] = math.nan
+    report = uw.verify_spectrum(tree, kernel, _with_plan(basis, pos=pos), spec)
+    assert math.isnan(report.gram_deviation)
+    assert report.multiset_max_diff == math.inf
+    assert not report.passed
 
 
 def test_verify_spectrum_needs_a_basis_near_orthonormal(binary_tree):
