@@ -183,13 +183,16 @@ def running_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
-def _weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
+def _weighted_norm(values: np.ndarray, weights: np.ndarray | float) -> float:
     """sqrt(sum |values|^2 weights), by numpy's fixed-order ``sum``.
 
-    When that plain sum underflows below the smallest normal float or
-    overflows, it is taken again with every |value| divided by max|values|
-    first, as LAPACK's nrm2 scales, so a function of values below about
-    1e-154 or above 1e154 keeps its digits instead of reading 0 or inf.
+    This is the package's one vector norm: weights 1.0 give the 2-norm of
+    coefficients, and unlike a BLAS dot product its summation order does
+    not follow the thread count.  When that plain sum underflows below the
+    smallest normal float or overflows, it is taken again with every
+    |value| divided by max|values| first, as LAPACK's nrm2 scales, so a
+    function of values below about 1e-154 or above 1e154 keeps its digits
+    instead of reading 0 or inf.
     A plain sum in range is returned as it is.
     """
     mags = np.abs(values)
@@ -200,6 +203,14 @@ def _weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
         if 0.0 < scale < math.inf:
             return scale * float(np.sqrt(np.sum((mags / scale) ** 2 * weights)))
     return float(np.sqrt(total))
+
+
+def _relative(value: float, scale: float) -> float:
+    """``value / scale``; a zero packet's 0 / 0 reads 0, anything else over 0 inf.
+
+    The package's one ratio: every figure relative to a norm is this.
+    """
+    return value / scale if scale > 0 else (math.inf if value else 0.0)
 
 
 class BallTree:

@@ -12,8 +12,12 @@ instance, with the instance's one Gram matrix G, and the orthonormality
 and eigenrelation suites both read it: ``gram_identity`` is
 ||G - I||_F.  Likewise the localization suite reports the three figures
 of :class:`~.evolution.LocalizationReport`, each already relative to the
-packet, against the report's own tolerance.  Results merge
-deterministically by instance index.
+packet, against the report's own tolerance.  Every other figure that
+compares norms is ``_relative`` of ``_weighted_norm``s (both in
+:mod:`.ball_tree`): one fixed-order norm, so no figure follows the BLAS
+thread count, and one ratio, which reads 0 / 0 as 0 and x / 0 as inf.
+``heat_mean_constant`` divides the mean's drift by max(1, |mean|).
+Results merge deterministically by instance index.
 
 Deliberate corruptions ("sign-bug", "tamper-spectrum") are available as
 negative controls to show the checks actually bite.
@@ -27,6 +31,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .ball_tree import BallSpec, BallTree, BallValues, TreeSpec, build_tree
+from .ball_tree import _relative, _weighted_norm
 from .evolution import (
     DensePropagator,
     EvolutionConfig,
@@ -55,8 +60,6 @@ _MAX_LEAVES = 200
 #: Most leaves of a tree on which free and potential evolution are compared
 #: with the dense propagator.
 _DENSE_LEAF_LIMIT = 64
-
-_TINY = 1e-300
 
 
 # -- random instances --------------------------------------------------------
@@ -178,13 +181,14 @@ def _transform_deviation(
     matrix = basis.matrix
     dense_coefficients = real_matvec(matrix, values * tree.leaf_measures)
     dense_values = real_matvec(matrix.T, coefficients)
-    analyze_gap = np.linalg.norm(basis.analyze(values) - dense_coefficients) / max(
-        float(np.linalg.norm(dense_coefficients)), _TINY
+    analyze_gap = _relative(
+        _weighted_norm(basis.analyze(values) - dense_coefficients, 1.0),
+        _weighted_norm(dense_coefficients, 1.0),
     )
-    synthesize_gap = tree.norm(basis.synthesize(coefficients) - dense_values) / max(
-        tree.norm(dense_values), _TINY
+    synthesize_gap = _relative(
+        tree.norm(basis.synthesize(coefficients) - dense_values), tree.norm(dense_values)
     )
-    return float(max(analyze_gap, synthesize_gap))
+    return max(analyze_gap, synthesize_gap)
 
 
 def eigenrelation_checks(report: SpectrumVerification) -> list[Check]:
@@ -203,22 +207,19 @@ def unitarity_checks(
 ) -> list[Check]:
     values = random_leaf_values(rng, tree)
     packet = WavePacket.from_leaf_values(basis, spec, values)
-    norm0 = max(packet.norm(), _TINY)
+    norm0 = packet.norm()
     t1, t2 = (float(t) for t in rng.uniform(0.0, 10.0, 2))
     (first,) = evolve_schrodinger(packet, EvolutionConfig(times=(t1,)))
     (chained,) = evolve_schrodinger(first, EvolutionConfig(times=(t2,)))
     (direct,) = evolve_schrodinger(packet, EvolutionConfig(times=(t1 + t2,)))
+    group_dev = _weighted_norm(chained.coefficients - direct.coefficients, 1.0)
     checks = [
-        ("unitarity", abs(first.norm() - packet.norm()) / norm0, 1e-10),
-        (
-            "schrodinger_group_law",
-            float(np.linalg.norm(chained.coefficients - direct.coefficients)) / norm0,
-            1e-10,
-        ),
+        ("unitarity", _relative(abs(first.norm() - norm0), norm0), 1e-10),
+        ("schrodinger_group_law", _relative(group_dev, norm0), 1e-10),
     ]
     if tree.n_leaves <= _DENSE_LEAF_LIMIT:
         dense_state = DensePropagator(tree, kernel).schrodinger(values, t1)
-        deviation = tree.norm(first.leaf_values() - dense_state) / norm0
+        deviation = _relative(tree.norm(first.leaf_values() - dense_state), norm0)
         checks.append(("spectral_dense_equivalence", deviation, 1e-8))
         checks.append(
             ("potential_dense_equivalence", _potential_deviation(tree, kernel, rng), 1e-8)
@@ -239,9 +240,9 @@ def _potential_deviation(
         values, potential, tree, kernel, EvolutionConfig(times=tuple(times))
     )
     propagator = DensePropagator(tree, kernel, potential)
-    norm0 = max(tree.norm(values), _TINY)
+    norm0 = tree.norm(values)
     return max(
-        tree.norm(state - propagator.schrodinger(values, t)) / norm0
+        _relative(tree.norm(state - propagator.schrodinger(values, t)), norm0)
         for state, t in zip(states, times.tolist())
     )
 
@@ -255,13 +256,11 @@ def heat_checks(
 ) -> list[Check]:
     values = random_leaf_values(rng, tree)
     packet = WavePacket.from_leaf_values(basis, spec, values)
-    norm0 = max(packet.norm(), _TINY)
     times = np.sort(rng.uniform(0.0, 5.0, 4))
     states = evolve_heat(packet, times)
     norms = [s.norm() for s in states]
     uptick = max(
-        (later - earlier) / max(earlier, _TINY)
-        for earlier, later in zip(norms, norms[1:])
+        _relative(later - earlier, earlier) for earlier, later in zip(norms, norms[1:])
     )
     mean0 = mean(tree, packet.leaf_values())
     mean_scale = max(1.0, abs(mean0))
@@ -270,13 +269,11 @@ def heat_checks(
     )
     (chained,) = evolve_heat(states[0], [float(times[1] - times[0])])
     (direct,) = evolve_heat(packet, [float(times[1])])
-    group_dev = (
-        float(np.linalg.norm(chained.coefficients - direct.coefficients)) / norm0
-    )
+    group_dev = _weighted_norm(chained.coefficients - direct.coefficients, 1.0)
     return [
         ("heat_monotone_decay", max(uptick, 0.0), 1e-12),
         ("heat_mean_constant", mean_drift, 1e-10),
-        ("heat_group_law", group_dev, 1e-10),
+        ("heat_group_law", _relative(group_dev, packet.norm()), 1e-10),
     ]
 
 
@@ -313,7 +310,7 @@ def spacetime_checks(rng: np.random.Generator) -> list[Check]:
     report = spacetime_product_check(
         tree_x, kernel_x, ball_x, index_x, tree_t, kernel_t, ball_t, index_t
     )
-    ratio = report.residual_norm / max(report.norm, _TINY)
+    ratio = _relative(report.residual_norm, report.norm)
     return [("spacetime_residual", ratio, report.tol)]
 
 

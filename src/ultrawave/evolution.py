@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import column, csv_fields, float_column, read_csv, write_csv
-from .ball_tree import BallTree, BallValues, _require_finite, _weighted_norm
+from .ball_tree import BallTree, BallValues, _relative, _require_finite, _weighted_norm
 from .pdo import Spectrum, SupKernel, dense_operator, eigenvalue, pair_matvec, symmetric_operator
 from .pdo import spectrum as build_spectrum
 from .wavelet import WaveletBasis, build_basis, mean
@@ -86,7 +86,8 @@ class WavePacket:
         return self.basis.synthesize(self.coefficients)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
+        """The 2-norm of the coefficients, which is ||f||_nu of the state."""
+        return _weighted_norm(self.coefficients, 1.0)
 
 
 def evolve_schrodinger(packet: WavePacket, config: EvolutionConfig) -> list[WavePacket]:
@@ -210,14 +211,7 @@ def evolve_with_potential(
     max(|min|, |max|) * t over that spectrum overflows, or is at least
     ``_PHASE_LIMIT`` and so has no digits.
     """
-    v, u = _potential_inputs(tree, values, potential)
-    low, high = _spectral_bounds(build_spectrum(tree, kernel).for_tree(tree), u, config.hbar)
-    _require_phases(
-        config.times,
-        max(abs(low), abs(high)),
-        "t*H/hbar",
-        f"for the spectrum of H/hbar in [{low!r}, {high!r}]",
-    )
+    v, u, (low, high) = _potential_prelude(values, potential, tree, kernel, config)
     longest = max((abs(t) for t in config.times), default=0.0)
     if _dense_is_cheaper((high - low) * longest, tree.n_leaves):
         # H / hbar = hbar * operator + U / hbar, scaled as on the Chebyshev route:
@@ -235,11 +229,28 @@ def chebyshev_evolve_with_potential(
 
     Small trees take the dense route in ``evolve_with_potential``; this
     lets the Chebyshev route be cross-checked against the dense propagator
-    there.
+    there.  It runs the same phase rule.
     """
-    v, u = _potential_inputs(tree, values, potential)
-    bounds = _spectral_bounds(build_spectrum(tree, kernel).for_tree(tree), u, config.hbar)
+    v, u, bounds = _potential_prelude(values, potential, tree, kernel, config)
     return _chebyshev_route(tree, kernel, bounds, v, u, config)
+
+
+def _potential_prelude(
+    values, potential, tree: BallTree, kernel: SupKernel, config: EvolutionConfig
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Validated leaf values, real potential and the bounds of H / hbar's
+    spectrum (``_spectral_bounds``) of both potential routes, after
+    ``_require_phases`` has rejected a time whose phase over those bounds
+    overflows or has no digits."""
+    v, u = _potential_inputs(tree, values, potential)
+    low, high = _spectral_bounds(build_spectrum(tree, kernel).for_tree(tree), u, config.hbar)
+    _require_phases(
+        config.times,
+        max(abs(low), abs(high)),
+        "t*H/hbar",
+        f"for the spectrum of H/hbar in [{low!r}, {high!r}]",
+    )
+    return v, u, (low, high)
 
 
 def _scaled(tree: BallTree, kernel: SupKernel, hbar: float) -> SupKernel:
@@ -511,11 +522,6 @@ class LocalizationReport:
         return self.mean_zero and all(f <= self.tol for f in figures)
 
 
-def _relative(value: float, scale: float) -> float:
-    """``value / scale``; a zero packet's 0 / 0 reads 0, anything else over 0 inf."""
-    return value / scale if scale > 0 else (math.inf if value else 0.0)
-
-
 #: Relative tolerance of :func:`check_localization`: for the mean-zero
 #: precondition, the support threshold, and the three figures of its report.
 _LOCALIZATION_TOL = 1e-10
@@ -669,8 +675,8 @@ def spacetime_product_check(
     m_t = dense_operator(tree_t, kernel_t)
     residual = (grid @ m_t.T) / lam_t - (m_x @ grid) / lam_x
     weights = np.outer(tree_x.leaf_measures, tree_t.leaf_measures)
-    norm = float(np.sqrt(np.sum(np.abs(grid) ** 2 * weights)))
-    residual_norm = float(np.sqrt(np.sum(np.abs(residual) ** 2 * weights)))
+    norm = _weighted_norm(grid.ravel(), weights.ravel())
+    residual_norm = _weighted_norm(residual.ravel(), weights.ravel())
     return SpacetimeReport(residual_norm=residual_norm, norm=norm, tol=_SPACETIME_TOL)
 
 

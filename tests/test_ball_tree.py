@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultrawave as uw
-from ultrawave.ball_tree import BallSpec, TreeSpec
+from ultrawave.ball_tree import BallSpec, BallValues, TreeSpec
 from ultrawave.certify import random_tree
 
 
@@ -213,6 +214,32 @@ def test_tree_spec_from_dict_preset():
 def test_tree_spec_from_dict_rejects(doc):
     with pytest.raises(uw.InvalidTreeError):
         uw.tree_spec_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"preset": 3}, "'preset' must be an object, got int"),
+        ({"balls": {"a": 1}}, "'balls' must be a list of objects, got dict"),
+        ({"balls": [{"parent": None, "diameter": 1.0}]}, "balls entry 0 has no 'id'"),
+    ],
+)
+def test_tree_spec_from_dict_names_what_is_wrong(doc, message):
+    with pytest.raises(uw.InvalidTreeError, match=re.escape(message)):
+        uw.tree_spec_from_dict(doc)
+
+
+def test_a_specification_without_balls_is_rejected():
+    with pytest.raises(uw.InvalidTreeError, match="specification lists no balls"):
+        uw.build_tree(TreeSpec(balls=()))
+
+
+@pytest.mark.parametrize("array", [[1.0, 2.0], [[1.0, 2.0, 3.0]]])
+def test_ball_values_of_the_wrong_shape_are_rejected(binary_tree, array):
+    shape = np.shape(array)
+    message = f"expected 3 values, one per internal ball, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BallValues(binary_tree, array)
 
 
 # -- sup and support ----------------------------------------------------------

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -122,3 +126,35 @@ def test_localization_suite_reports_the_figures_of_the_library(monkeypatch):
         ]
         assert report.passed and report.relative_leak > 0.0
     assert len(reports) == 4
+
+
+FIGURES_SCRIPT = """
+import numpy as np
+import ultrawave as uw
+from ultrawave.certify import heat_checks, unitarity_checks
+tree = uw.build_tree(uw.padic_preset(2, 17))
+kernel = uw.vladimirov_kernel(tree, 0.5)
+basis = uw.build_basis(tree)
+spec = uw.spectrum(tree, kernel)
+rng = np.random.default_rng(42)
+checks = unitarity_checks(tree, kernel, basis, spec, rng)
+checks += heat_checks(tree, kernel, basis, spec, rng)
+print([(name, repr(value)) for name, value, _ in checks])
+"""
+
+
+def test_unitarity_and_heat_figures_are_the_same_for_every_blas_thread_count():
+    # on 2^17 leaves a BLAS dot product runs on several threads and sums in
+    # an order that follows their count; the package's norm does not
+    figures = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(uw.__file__)), env.get("PYTHONPATH", "")]
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", FIGURES_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        figures.add(run.stdout)
+    assert len(figures) == 1, figures

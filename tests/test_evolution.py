@@ -97,6 +97,13 @@ def test_packet_parseval(binary_tree, binary_kernel):
     assert binary_tree.norm(packet.leaf_values() - values) <= 1e-10 * packet.norm()
 
 
+def test_packet_norm_of_a_tiny_packet_keeps_its_digits(binary_tree, binary_kernel):
+    # the squares of 1e-170 underflow; the scaled sum keeps the norm
+    values = 1e-170 * np.array([1.0, -1.0, 0.0, 0.0])
+    packet = _packet(binary_tree, binary_kernel, values)
+    assert packet.norm() == pytest.approx(binary_tree.norm(values), rel=1e-15, abs=0.0)
+
+
 def test_evolution_config_validation():
     with pytest.raises(ValueError, match="hbar"):
         uw.EvolutionConfig(times=(1.0,), hbar=0.0)
@@ -655,6 +662,20 @@ def test_potential_evolution_rejects_a_phase_without_digits(heavy_star, dense_bu
                 values, potential, tree, kernel, uw.EvolutionConfig(times=(0.0, t))
             )
     assert dense_builds.built == 1
+
+
+def test_forced_chebyshev_route_rejects_a_phase_without_digits():
+    # U = 1e20 puts the spectrum of H at 1e20, whose ulp is 16384 rad: the
+    # forced route must refuse t = 1 as the routed call does
+    tree = uw.build_tree(uw.padic_preset(2, 3))
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+    values = np.zeros(tree.n_leaves, dtype=complex)
+    values[:2] = 1.0, -1.0
+    potential = np.full(tree.n_leaves, 1e20)
+    config = uw.EvolutionConfig(times=(1.0,))
+    for evolve in (uw.evolve_with_potential, chebyshev_evolve_with_potential):
+        with pytest.raises(ValueError, match=_phase_error(1.0)):
+            evolve(values, potential, tree, kernel, config)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

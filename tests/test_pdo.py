@@ -290,6 +290,27 @@ def test_make_kernel_rejections(binary_tree, values, message):
         uw.make_kernel(binary_tree, values)
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_constant_kernel_rejects_a_negative_or_nan_value(binary_tree, value):
+    message = f"^kernel value for ball 'r' must be >= 0, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        uw.constant_kernel(binary_tree, value)
+
+
+def test_kernel_file_of_a_json_list_is_rejected(tmp_path, binary_tree):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps([1.0, 2.0, 2.0]))
+    with pytest.raises(ValueError, match="^kernel file must contain a JSON object$"):
+        uw.load_kernel(path, binary_tree)
+
+
+def test_verify_spectrum_rejects_another_trees_basis(binary_tree, binary_kernel):
+    other = uw.build_basis(uw.build_tree(uw.padic_preset(2, 3)))
+    spec = uw.spectrum(binary_tree, binary_kernel)
+    with pytest.raises(ValueError, match="^basis was built for a different tree$"):
+        uw.verify_spectrum(binary_tree, binary_kernel, other, spec)
+
+
 def test_eigenvalue_argument_errors(binary_tree, binary_kernel):
     with pytest.raises(ValueError, match="leaf"):
         uw.eigenvalue(binary_tree, binary_kernel, "r.0.0")
