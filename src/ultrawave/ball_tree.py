@@ -315,13 +315,17 @@ class BallTree:
             x[internal] = np.add.reduceat(x[below], starts)
         return x
 
-    def path_sums(self, terms: np.ndarray) -> np.ndarray:
+    def path_sums(self, terms: np.ndarray, internal_only: bool = False) -> np.ndarray:
         """Per ball, the sum of ``terms`` (one per ball) over the ball and its ancestors.
 
         Top-down, a level at a time: each ball adds its parent's finished
         sum to its own term.  Accumulates into ``terms`` and returns it.
+        With ``internal_only`` the deepest level, which holds leaves alone,
+        is skipped: every internal ball's sum is the same, and the deepest
+        leaves keep their terms.
         """
-        for level, above in self._down_sweep:
+        sweep = self._down_sweep[:-1] if internal_only else self._down_sweep
+        for level, above in sweep:
             terms[level] += terms[above]
         return terms
 

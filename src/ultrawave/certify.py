@@ -51,7 +51,7 @@ from .pdo import (
     spectrum,
     verify_spectrum,
 )
-from .wavelet import WaveletBasis, build_basis, mean
+from .wavelet import WaveletBasis, _row_blocks, build_basis, mean
 
 INJECTIONS = ("sign-bug", "tamper-spectrum")
 
@@ -175,12 +175,27 @@ def orthonormality_checks(
 def _transform_deviation(
     tree: BallTree, basis: WaveletBasis, rng: np.random.Generator
 ) -> float:
-    """Relative gap between the fast transforms and products with ``matrix``."""
+    """Relative gap between the fast transforms and products with ``matrix``.
+
+    The products take ``matrix`` a block at a time and never whole: row
+    blocks for ``matrix @ x``, and C-contiguous column blocks B for
+    ``matrix.T @ c`` as ``B.T @ c``, the gemv the whole transpose runs,
+    so each entry has the bits of the whole product (rows of the
+    transpose would sum in another order).
+    """
     values = random_leaf_values(rng, tree)
     coefficients = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    matrix = basis.matrix
-    dense_coefficients = real_matvec(matrix, values * tree.leaf_measures)
-    dense_values = real_matvec(matrix.T, coefficients)
+    n, size = tree.n_leaves, basis.size
+    weighted = values * tree.leaf_measures
+    dense_coefficients = np.concatenate(
+        [real_matvec(basis.block(slice(a, b)), weighted) for a, b in _row_blocks(size, n)]
+    )
+    dense_values = np.concatenate(
+        [
+            real_matvec(basis.block(leaves=slice(a, b)).T, coefficients)
+            for a, b in _row_blocks(n, size)
+        ]
+    )
     analyze_gap = _relative(
         _weighted_norm(basis.analyze(values) - dense_coefficients, 1.0),
         _weighted_norm(dense_coefficients, 1.0),

@@ -24,11 +24,13 @@ pair definition, with no reference to wavelets or the eigenvalue sum.
 ``symmetric_operator`` builds, from the same pairs and into one buffer,
 the symmetric matrix S = diag(sqrt(nu)) M diag(sqrt(nu))^-1, optionally
 plus a real diagonal potential; it is the one dense matrix behind both
-oracles.  ``verify_spectrum`` certifies the closed form with it: it takes
-each wavelet's residual in sqrt(nu) coordinates and, from the residuals
-and the basis's Gram matrix G, a bound on the gap between the eigenvalues
-of S and the analytic multiset, in O(n^2) and with no eigensolver; it
-reports ||G - I||_F too, the one measure of orthonormality the checks use.
+oracles, and ``_operator_rows`` builds it a block of rows at a time.
+``verify_spectrum`` certifies the closed form with those blocks, never
+holding S whole: it takes each wavelet's residual in sqrt(nu) coordinates
+and, from the residuals and the basis's Gram matrix G, a bound on the gap
+between the eigenvalues of S and the analytic multiset, in O(n^2) time,
+in memory of a few blocks of rows, and with no eigensolver; it reports
+||G - I||_F too, the one measure of orthonormality the checks use.
 G itself is never formed: every off-diagonal entry is a constant times one
 wavelet's integral, so ``_gram_deviation`` reads what the bound needs off
 the basis plan's block structure.
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Mapping
@@ -57,7 +60,7 @@ import numpy as np
 
 from .artifacts import column, csv_fields, float_column, read_csv, write_csv
 from .ball_tree import _NOT_NUMBERS, BallTree, BallValues, _is_json_number, internal_values
-from .wavelet import WaveletBasis, _sibling_sums
+from .wavelet import WaveletBasis, _row_blocks, _sibling_sums
 
 
 def _require_ball_values(owner: str, values) -> None:
@@ -231,14 +234,15 @@ def _ball_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     return t
 
 
-def _descent_sums(tree: BallTree, t: np.ndarray) -> np.ndarray:
+def _descent_sums(tree: BallTree, t: np.ndarray, internal_only: bool = False) -> np.ndarray:
     """Per ball B, a(B) = sum T(P) (nu(P) - nu(C)) over the parent-child pairs
     (P, C) on the path from the root down to B, from the tree's root-down
     :meth:`~.BallTree.path_sums`; ``t`` is :func:`_ball_kernel`'s T per ball.
+    With ``internal_only`` only the internal balls' sums are finished.
     """
     parent = np.maximum(tree.parent, 0)  # the root is its own parent and adds T(root) * 0
     nu = tree.measure
-    return tree.path_sums(t[parent] * (nu[parent] - nu))
+    return tree.path_sums(t[parent] * (nu[parent] - nu), internal_only)
 
 
 def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
@@ -254,7 +258,7 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     nu = tree.measure
     internal = tree.internal_balls
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = _descent_sums(tree, t)[internal] + t[internal] * nu[internal]
+        lam = _descent_sums(tree, t, internal_only=True)[internal] + t[internal] * nu[internal]
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
         raise ValueError(
@@ -264,14 +268,15 @@ def spectrum(tree: BallTree, kernel: SupKernel) -> Spectrum:
     return Spectrum(eigenvalues=BallValues(tree, lam))
 
 
-def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
-    """The n-by-n matrix T(sup(x, y)) over leaf pairs, each entry written once.
+def _sup_rectangles(tree: BallTree, kernel: SupKernel) -> tuple[np.ndarray, ...]:
+    """T(sup(x, y)) over leaf pairs as disjoint rectangles that cover its nonzeros.
 
-    Two leaves in different children of B have sup B, so the rows of each
-    internal child C of B take T(B) in the columns of B outside C.  The row
-    of a leaf child takes T(B) in all of B's columns, since sup(x, x) is the
-    leaf x, whose value is its parent's; adjacent leaves of one parent are
-    filled as one block.
+    Arrays ``(top, bottom, left, right, value)``: rows ``[top, bottom)`` by
+    columns ``[left, right)`` hold ``value``.  Two leaves in different
+    children of B have sup B, so the rows of each internal child C of B
+    take T(B) in the columns of B outside C.  The row of a leaf child takes
+    T(B) in all of B's columns, since sup(x, x) is the leaf x, whose value
+    is its parent's; adjacent leaves of one parent form one rectangle.
     """
     n = tree.n_leaves
     t = _ball_kernel(tree, kernel)
@@ -283,9 +288,8 @@ def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     run_parent = leaf_parent[runs]
     children = tree.internal_balls[1:]  # every internal ball but the root, ball 0
     parent = tree.parent[children]
-    # rectangles of rows [top, bottom) by columns [left, right): one per run
-    # of leaves, and two per internal child, its parent's columns left and
-    # right of its own
+    # one rectangle per run of leaves, and two per internal child, its
+    # parent's columns left and right of its own
     top = np.concatenate([runs, start[children], start[children]])
     bottom = np.concatenate([np.append(runs, n)[1:], stop[children], stop[children]])
     left = np.concatenate([start[run_parent], start[parent], stop[children]])
@@ -294,15 +298,33 @@ def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
     # the first child has no columns left of it and the last none right: on
     # the p = 2 preset that drops 2046 of 5116 slices, each about 1 us
     wide = left < right
-    sup_kernel = np.zeros((n, n))
-    for first, last, first_col, last_col, v in zip(
-        top[wide].tolist(),
-        bottom[wide].tolist(),
-        left[wide].tolist(),
-        right[wide].tolist(),
-        value[wide].tolist(),
+    return top[wide], bottom[wide], left[wide], right[wide], value[wide]
+
+
+def _fill_sup_kernel(rectangles: tuple[np.ndarray, ...], first: int, out: np.ndarray) -> None:
+    """Write rows ``first`` to ``first + len(out)`` of T(sup(x, y)) into the zeroed ``out``.
+
+    ``rectangles`` is :func:`_sup_rectangles`'s; each one is clipped to the
+    rows, so every entry is written once.
+    """
+    top, bottom, left, right, value = rectangles
+    last = first + len(out)
+    hit = (top < last) & (bottom > first)
+    for row, stop, first_col, last_col, v in zip(
+        (np.maximum(top[hit], first) - first).tolist(),
+        (np.minimum(bottom[hit], last) - first).tolist(),
+        left[hit].tolist(),
+        right[hit].tolist(),
+        value[hit].tolist(),
     ):
-        sup_kernel[first:last, first_col:last_col] = v
+        out[row:stop, first_col:last_col] = v
+
+
+def _sup_kernel(tree: BallTree, kernel: SupKernel) -> np.ndarray:
+    """The n-by-n matrix T(sup(x, y)) over leaf pairs, each entry written once."""
+    n = tree.n_leaves
+    sup_kernel = np.zeros((n, n))
+    _fill_sup_kernel(_sup_rectangles(tree, kernel), 0, sup_kernel)
     return sup_kernel
 
 
@@ -349,8 +371,34 @@ def pair_matvec(tree: BallTree, kernel: SupKernel):
     return matvec
 
 
-#: Entries of the scale block :func:`symmetric_operator` forms at a time (512 KB).
-_SCALE_BLOCK = 1 << 16
+def _operator_rows(tree: BallTree, kernel: SupKernel, potential: np.ndarray | None = None):
+    """:func:`symmetric_operator`'s S a block of rows at a time.
+
+    Returns ``fill(first, out)``, which writes rows ``first`` to
+    ``first + len(out)`` of S into the C-contiguous ``out``: T(sup(x, y))
+    from the rectangles clipped to the rows, M's diagonal from them as
+    ``T_rows @ nu - T(x, x) nu(x)``, a BLAS gemv per row, plus the
+    potential, then the rows scaled by -r(x) r(y) and the diagonal set.
+    On the blocks of :func:`~.wavelet._row_blocks` each row's gemv sums in
+    the order of the whole matrix's product, so on one BLAS thread every
+    entry has the bits it has in S built whole.
+    """
+    nu = tree.leaf_measures
+    r = np.sqrt(nu)
+    rectangles = _sup_rectangles(tree, kernel)
+
+    def fill(first: int, out: np.ndarray) -> None:
+        last = first + len(out)
+        out.fill(0.0)
+        _fill_sup_kernel(rectangles, first, out)
+        rows = np.arange(len(out))
+        diagonal = out @ nu - out[rows, rows + first] * nu[first:last]
+        if potential is not None:
+            diagonal += potential[first:last]
+        out *= np.outer(-r[first:last], r)
+        out[rows, rows + first] = diagonal
+
+    return fill
 
 
 def symmetric_operator(
@@ -363,20 +411,48 @@ def symmetric_operator(
     measure-weighted inner product, to a symmetric matrix with the same
     eigenvalues: S[x, y] = -T(sup(x, y)) r(x) r(y) off the diagonal, which
     is bitwise symmetric, and M's diagonal plus the potential on it.  Built
-    in one n-by-n buffer, which is returned.
+    in one n-by-n buffer, which is returned, a block of rows at a time by
+    :func:`_operator_rows`, which :func:`verify_spectrum` streams.
     """
-    nu = tree.leaf_measures
-    r = np.sqrt(nu)
-    sym = _sup_kernel(tree, kernel)
-    diagonal = sym @ nu - sym.diagonal() * nu
-    if potential is not None:
-        diagonal += potential
-    # np.outer(-r, r) a block of rows at a time, not as a second n-by-n array
-    step = max(1, _SCALE_BLOCK // len(r))
-    for a in range(0, len(r), step):
-        sym[a : a + step] *= np.outer(-r[a : a + step], r)
-    np.fill_diagonal(sym, diagonal)
+    n = tree.n_leaves
+    sym = np.empty((n, n))
+    fill = _operator_rows(tree, kernel, potential)
+    for first, last in _row_blocks(n, n):
+        fill(first, sym[first:last])
     return sym
+
+
+def _leaf_rows(fill, blocks: list[tuple[int, int]], width: int):
+    """The rows of a matrix for :meth:`~.WaveletBasis.stream_matrix_times`,
+    formed a block at a time.
+
+    ``fill(first, out)`` writes rows ``first`` to ``first + len(out)`` into
+    ``out``; ``blocks`` are the row ranges it is called on.  A row outside
+    the block held has its block formed in the one buffer, and the rows of
+    the old block the sweep has yet to read are first copied out until it
+    reads them, so no block is formed twice.  The sweep reads most rows
+    near the one it read last, so on most trees few rows wait.
+    """
+    starts = [first for first, _ in blocks]
+    buffer = np.empty((max(last - first for first, last in blocks), width))
+    waiting: dict[int, np.ndarray] = {}
+    unread = np.ones(blocks[-1][1], dtype=bool)
+    held = [0, 0]
+
+    def row(leaf: int) -> np.ndarray:
+        if leaf in waiting:
+            return waiting.pop(leaf)
+        first, last = held
+        if not first <= leaf < last:
+            for i in (first + np.flatnonzero(unread[first:last])).tolist():
+                waiting[i] = buffer[i - first].copy()
+            first, last = blocks[bisect_right(starts, leaf) - 1]
+            fill(first, buffer[: last - first])
+            held[:] = first, last
+        unread[leaf] = False
+        return buffer[leaf - first]
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -507,13 +583,24 @@ def verify_spectrum(
 
     The operator is the symmetric matrix S = diag(r) M diag(r)^-1 with
     r = sqrt(nu) of :func:`symmetric_operator`, which has M's eigenvalues.
-    Scaling S's rows by r makes row k of ``basis.matrix_times(S)`` the
-    vector S phi_k with phi_k = r psi_k, and
+    Scaling S's rows by r makes row k of ``basis.matrix_times(diag(r) S)``
+    the vector S phi_k with phi_k = r psi_k, and
     ||M psi_k - lambda_k psi_k||_nu = ||S phi_k - lambda_k phi_k||_2, so
     the residual rows R_k = S phi_k - lambda_k phi_k are taken in these
     coordinates, subtracting lambda_k phi_k on psi_k's support only.  Each
     ||psi_k||_nu = ||phi_k||_2 in the residual's scale is sqrt(G_kk), G
     the Gram matrix below.
+
+    Neither diag(r) S nor R is held whole.  The rows of diag(r) S are
+    formed a block of :func:`~.wavelet._row_blocks` at a time by
+    :func:`_operator_rows`, the builder of :func:`symmetric_operator`, and
+    handed to the sweep of :meth:`~.WaveletBasis.stream_matrix_times`,
+    which reads each leaf's row once (:func:`_leaf_rows`).  The residual
+    rows go into a window of as
+    many rows; a full window has lambda_k phi_k subtracted on its
+    wavelets' supports and its squares summed, and is reused.  On one
+    BLAS thread every entry and sum has the bits it has in the whole
+    arrays.
 
     The bound needs no eigensolver (Weyl's theorem on the polar factor of
     the basis; Parlett, *The Symmetric Eigenvalue Problem*, 1980, ch. 11).
@@ -539,10 +626,11 @@ def verify_spectrum(
     disagree with still shows in eta.  ``basis.gram()`` is the dense
     reference the tests compare it with; no library routine calls it.
     :mod:`.certify`'s orthonormality check reads eta from the report.
-    The residual product alone costs O(n^2), and at most two n-by-n
-    arrays, S and the residual, are held at once.  No LAPACK routine runs,
-    and every sum taken here is numpy's own, in a fixed order, not a BLAS
-    product.
+    The residual product alone costs O(n^2) time, in the memory of a
+    block of rows of each array plus the rows the sweep keeps for later.
+    No LAPACK routine runs.  M's diagonal is a BLAS gemv per row, whose blocks keep each row
+    in the same group of four rows as the whole matrix's product, and
+    every other sum taken here is numpy's own, in a fixed order.
     """
     if basis.tree is not tree and basis.tree.leaves != tree.leaves:
         raise ValueError("basis was built for a different tree")
@@ -552,13 +640,35 @@ def verify_spectrum(
     eta, commutator, gram_diagonal = _gram_deviation(basis, spec.for_tree(basis.tree))
     vector_norms = np.sqrt(gram_diagonal)
 
-    sym = symmetric_operator(tree, kernel)
-    sym *= r[:, None]
-    residual = basis.matrix_times(sym)
-    wavelet, leaf, value = basis._entries()
-    # the constant's eigenvalue is 0, so its row is S phi alone
-    residual[wavelet, leaf] -= lam[wavelet] * (r[leaf] * value)
-    residual_squares = _sum_of_squares(residual)
+    n = tree.n_leaves
+    fill = _operator_rows(tree, kernel)
+
+    def scaled(first: int, out: np.ndarray) -> None:
+        fill(first, out)
+        out *= r[first : first + len(out), None]
+
+    blocks = _row_blocks(n, n)
+    residual_squares = np.empty(basis.size)
+    window = np.empty((blocks[0][1] - blocks[0][0], n))
+    held: list[int] = []  # the basis element of each window row
+
+    def flush() -> None:
+        k = np.array(held, dtype=np.intp)
+        # the constant, written last, has eigenvalue 0: its row is S phi alone
+        wavelets = k[k < basis.size - 1]
+        row, leaf, value = basis._entries(wavelets)
+        window[row, leaf] -= lam[wavelets][row] * (r[leaf] * value)
+        residual_squares[k] = _sum_of_squares(window[: len(k)])
+        held.clear()
+
+    def out_row(k: int) -> np.ndarray:
+        if len(held) == len(window):
+            flush()
+        held.append(k)
+        return window[len(held) - 1]
+
+    basis.stream_matrix_times(_leaf_rows(scaled, blocks, n), out_row, n)
+    flush()
     scale = np.maximum(1.0, operator_norm * vector_norms)
     max_residual = float(np.max(np.sqrt(residual_squares) / scale))
     if eta <= 0.5:

@@ -25,16 +25,22 @@ Partial sums over siblings come from a work-efficient (Blelloch) scan, so
 each is a balanced tree of additions and rounding grows with depth and the
 log of the arity, not with n.
 
-The dense oracles work from the same plan.  ``matrix_times(y)`` returns
+The dense oracles work from the same plan, and ``_row_blocks`` cuts what
+they form into blocks of about 1 MiB.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
-per column of ``y``, without building ``matrix``; ``gram`` is one such
-product, the dense reference for the Gram deviation that
-:func:`.pdo.verify_spectrum` reads off the plan, and no library routine
-calls it.  ``matrix`` materializes the basis vectors as rows (O(n^2) and
-rebuilt on every access, so hold one reference per use); it exists for the
-transform cross-check and tests.  Wavelet k belongs to ball
-``tree.parent[plan.child[k]]``; a ball's wavelets are consecutive, in index
-order from 1, and a ball with c children has c - 1 of them.
+per column of ``y``, without building ``matrix``; ``stream_matrix_times``
+is that sweep with the rows of ``y`` and of the product passed through
+callables, so that :func:`.pdo.verify_spectrum` forms the rows of its
+operator a block at a time and keeps a window of the product's rows.
+``gram`` is one such product, the dense reference for the Gram deviation
+that :func:`.pdo.verify_spectrum` reads off the plan, and no library
+routine calls it.  ``block(rows, leaves)`` is one block of ``matrix``,
+built from the supports that meet it, and ``matrix`` materializes the
+basis vectors as rows a block at a time (O(n^2) and rebuilt on every
+access, so hold one reference per use); they exist for the dense checks
+and tests.  Wavelet k belongs to ball ``tree.parent[plan.child[k]]``; a
+ball's wavelets are consecutive, in index order from 1, and a ball with c
+children has c - 1 of them.
 """
 
 from __future__ import annotations
@@ -46,6 +52,27 @@ from functools import cached_property
 import numpy as np
 
 from .ball_tree import BallTree, running_sums
+
+#: Bytes of one block of a dense oracle's rows (or columns), formed at a time (1 MiB).
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(count: int, length: int) -> list[tuple[int, int]]:
+    """Ranges ``[first, last)`` that cut ``count`` rows of ``length`` floats into blocks.
+
+    A block holds about ``_BLOCK_BYTES`` in a multiple of 32 rows, and the
+    last block takes a lone row left over.  A block's product with a
+    vector is then a BLAS gemv whose rows fall in the same groups of four
+    as in the whole matrix's product (OpenBLAS sums a row of a group in
+    another order than a row left over), also when it splits a block
+    evenly over 2, 4 or 8 threads; and no block is a single row, which
+    numpy would hand to a dot product instead.
+    """
+    step = max(32, _BLOCK_BYTES // (8 * max(length, 1)) // 32 * 32)
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
 
 
 @dataclass(frozen=True)
@@ -87,39 +114,69 @@ class WaveletBasis:
     def size(self) -> int:
         return len(self.plan.pos) + 1
 
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def support(self, wavelets=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each wavelet's leaf ranges ``(start, split, stop)``, in basis order.
 
         Wavelet k is ``pos[k]`` on leaves ``[start[k], split[k])``, the
         children of its ball before its child, ``neg[k]`` on leaves
         ``[split[k], stop[k])``, its child, and zero elsewhere: the tree's
-        leaf ranges of the wavelet's ball and child.
+        leaf ranges of the wavelet's ball and child.  ``wavelets``, a slice
+        or an index array, selects the wavelets (all by default).
         """
-        tree, child = self.tree, self.plan.child
+        tree, child = self.tree, self.plan.child[wavelets]
         return tree.leaf_start[tree.parent[child]], tree.leaf_start[child], tree.leaf_stop[child]
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`support` as every nonzero wavelet value, in flat arrays
-        ``(wavelet, leaf, value)``, wavelets in order; the constant is not included."""
-        start, split, stop = self.support()
-        length = stop - start
-        wavelet = np.repeat(np.arange(len(length)), length)
+    def _entries(
+        self, wavelets, first: int = 0, last: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero values of the given wavelets on leaves ``[first, last)``.
+
+        ``wavelets`` is a slice or an index array of wavelets (the constant
+        is not one).  Flat arrays ``(row, leaf, value)``, ``row`` the
+        position in ``wavelets``, in order, and leaves ascending in a row:
+        one entry per leaf of each support, so callers expand a bounded set
+        of wavelets at a time (a star's supports hold n^2/2 leaves).
+        """
+        start, split, stop = self.support(wavelets)
+        start = np.maximum(start, first)
+        if last is not None:
+            stop = np.minimum(stop, last)
+        length = np.maximum(stop - start, 0)
+        row = np.repeat(np.arange(len(length)), length)
         shift = np.repeat(start - (np.cumsum(length) - length), length)
-        leaf = np.arange(wavelet.size) + shift
-        value = np.where(leaf < split[wavelet], self.plan.pos[wavelet], self.plan.neg[wavelet])
-        return wavelet, leaf, value
+        leaf = np.arange(row.size) + shift
+        pos, neg = self.plan.pos[wavelets], self.plan.neg[wavelets]
+        value = np.where(leaf < split[row], pos[row], neg[row])
+        return row, leaf, value
+
+    def block(self, rows: slice = slice(None), leaves: slice = slice(None)) -> np.ndarray:
+        """``matrix[rows, leaves]`` for two slices of step 1, as a new C-contiguous array.
+
+        Built from the entries inside the block alone, in O(size) plus the
+        block's area.
+        """
+        first_row, last_row, row_step = rows.indices(self.size)
+        first, last, leaf_step = leaves.indices(self.tree.n_leaves)
+        if (row_step, leaf_step) != (1, 1):
+            raise ValueError(f"block takes slices of step 1, got {rows} and {leaves}")
+        out = np.zeros((max(last_row - first_row, 0), max(last - first, 0)))
+        wavelets = slice(first_row, min(last_row, self.size - 1))
+        row, leaf, value = self._entries(wavelets, first, last)
+        out[row, leaf - first] = value
+        if last_row == self.size and first_row < last_row:
+            out[-1] = self.plan.constant
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
         """Basis vectors as rows, shape (size, n_leaves), constant last.
 
-        Dense O(n^2) materialization for oracles, built on every access;
-        read-only.
+        Dense O(n^2) materialization for oracles, built on every access a
+        block of rows at a time; read-only.
         """
-        m = np.zeros((self.size, self.tree.n_leaves))
-        wavelet, leaf, value = self._entries()
-        m[wavelet, leaf] = value
-        m[-1] = self.plan.constant
+        m = np.empty((self.size, self.tree.n_leaves))
+        for first, last in _row_blocks(self.size, self.tree.n_leaves):
+            m[first:last] = self.block(slice(first, last))
         m.flags.writeable = False
         return m
 
@@ -153,25 +210,40 @@ class WaveletBasis:
             raise ValueError(
                 f"expected a 2-D array with {self.tree.n_leaves} rows, got shape {y.shape}"
             )
+        out = np.empty((self.size, y.shape[1]))
+        self.stream_matrix_times(y.__getitem__, out.__getitem__, y.shape[1])
+        return out
+
+    def stream_matrix_times(self, leaf_row, out_row, width: int) -> None:
+        """:meth:`matrix_times`'s sweep, with its rows passed through two callables.
+
+        ``leaf_row(x)`` returns leaf x's row of ``y``, a 1-D array of
+        ``width`` floats; the sweep reads each leaf's row once, and uses it
+        before the next call.  ``out_row(k)`` returns the array that row k
+        of the product is written into; the rows are written one after the
+        other, each complete before the next is asked for, wavelets in
+        sweep order and the constant last.  So neither ``y`` nor the
+        product need be held whole.
+        """
         first, first_source, source = self._sweep
         pos, neg = self.plan.pos.tolist(), self.plan.neg.tolist()
-        out = np.empty((self.size, y.shape[1]))
-        term = np.empty(y.shape[1])
+        term = np.empty(width)
         sums: dict[int, np.ndarray] = {}
         # depth-first preorder lists every ball before its descendants
         for b in range(len(first) - 2, -1, -1):
             s = first_source[b]
-            before = y[s].copy() if s >= 0 else sums.pop(~s)
+            before = leaf_row(s).copy() if s >= 0 else sums.pop(~s)
             for k in range(first[b], first[b + 1]):
                 s = source[k]
-                block = y[s] if s >= 0 else sums.pop(~s)
-                np.multiply(before, pos[k], out=out[k])
+                block = leaf_row(s) if s >= 0 else sums.pop(~s)
+                row = out_row(k)
+                np.multiply(before, pos[k], out=row)
                 np.multiply(block, neg[k], out=term)
-                out[k] += term
+                row += term
                 before += block
             sums[b] = before
-        np.multiply(sums.pop(0) if sums else y[0], self.plan.constant, out=out[-1])
-        return out
+        root = sums.pop(0) if sums else leaf_row(0)
+        np.multiply(root, self.plan.constant, out=out_row(self.size - 1))
 
     def analyze(self, values) -> np.ndarray:
         """Expansion coefficients of a leaf function, one per basis element."""
@@ -205,9 +277,10 @@ class WaveletBasis:
         for ``pdo._gram_deviation``, which needs no n-by-n array.
         """
         nu = self.tree.leaf_measures
-        wavelet, leaf, value = self._entries()
         weighted = np.zeros((self.tree.n_leaves, self.size))
-        weighted[leaf, wavelet] = nu[leaf] * value
+        for first, last in _row_blocks(self.size - 1, self.tree.n_leaves):
+            row, leaf, value = self._entries(slice(first, last))
+            weighted[leaf, first + row] = nu[leaf] * value
         weighted[:, -1] = nu * self.plan.constant
         return self.matrix_times(weighted)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ultrawave as uw
-from ultrawave import certify, evolution
+from ultrawave import certify, evolution, wavelet
 from ultrawave.certify import (
     corrupt_basis_sign,
     orthonormality_checks,
@@ -30,6 +30,39 @@ def test_orthonormality_suite_compares_fast_and_dense_transforms():
     value, tol = checks["transform_dense_equivalence"]
     assert tol == 1e-12
     assert value <= tol
+
+
+def _whole_matrix_transform_deviation(tree, basis, rng):
+    """``certify._transform_deviation`` from products with the whole matrix,
+    as it was computed before the matrix was taken in blocks."""
+    values = certify.random_leaf_values(rng, tree)
+    coefficients = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    matrix = basis.matrix
+    dense_coefficients = evolution.real_matvec(matrix, values * tree.leaf_measures)
+    dense_values = evolution.real_matvec(matrix.T, coefficients)
+    analyze_gap = certify._relative(
+        certify._weighted_norm(basis.analyze(values) - dense_coefficients, 1.0),
+        certify._weighted_norm(dense_coefficients, 1.0),
+    )
+    synthesize_gap = certify._relative(
+        tree.norm(basis.synthesize(coefficients) - dense_values), tree.norm(dense_values)
+    )
+    return max(analyze_gap, synthesize_gap)
+
+
+def test_transform_check_in_blocks_has_the_bits_of_whole_matrix_products(monkeypatch):
+    # 32 rows or columns at a time; up to 95 leaves every gemv, the whole
+    # matrix's too, runs on one OpenBLAS thread
+    rng = np.random.default_rng(14)
+    trees = [random_tree(rng, min_leaves=n, max_leaves=n, max_children=7) for n in (20, 33, 65, 90)]
+    trees += [random_tree(rng, min_leaves=33, max_leaves=95) for _ in range(4)]
+    monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)
+    for tree in trees:
+        basis = uw.build_basis(tree)
+        for b in (basis, corrupt_basis_sign(basis)):
+            streamed = certify._transform_deviation(tree, b, np.random.default_rng(5))
+            whole = _whole_matrix_transform_deviation(tree, b, np.random.default_rng(5))
+            assert streamed.hex() == whole.hex()
 
 
 def test_sign_bug_reaches_fast_and_dense_paths_alike():

@@ -16,8 +16,13 @@ from ultrawave.certify import (
     random_tree,
     random_tree_spec,
 )
+from ultrawave import wavelet
 from ultrawave.pdo import (
+    _MULTISET_TOL,
+    _RESIDUAL_TOL,
+    SpectrumVerification,
     _gram_deviation,
+    _sum_of_squares,
     _sup_kernel,
     pair_matvec,
     read_spectrum,
@@ -550,25 +555,27 @@ def test_verify_spectrum_on_a_single_leaf():
 
 
 @pytest.mark.parametrize(
-    "tree",
+    "tree, mib",
     [
-        uw.build_tree(uw.padic_preset(2, 10)),
-        random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000),
+        (uw.build_tree(uw.padic_preset(2, 10)), 8),
+        (random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000), 8),
+        (uw.build_tree(uw.padic_preset(2, 12)), 32),
     ],
-    ids=["padic", "random"],
+    ids=["padic", "random", "padic-4096"],
 )
-def test_verify_spectrum_memory_is_about_two_dense_arrays(tree):
-    # the symmetric buffer and the residual; no dense operator or basis copies
+def test_verify_spectrum_memory_is_a_few_row_blocks(tree, mib):
+    # blocks of rows of diag(r) S and of the residual, never either whole:
+    # the two n-by-n arrays it once held were 16 MiB at 1024 leaves and
+    # 256 MiB at 4096
     kernel = uw.vladimirov_kernel(tree, 0.5)
     basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
-    n = tree.n_leaves
     tracemalloc.start()
     try:
         report = uw.verify_spectrum(tree, kernel, basis, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8
+    assert peak <= mib * 2**20
     assert report.passed
 
 
@@ -598,23 +605,119 @@ def test_sup_kernel_matches_the_whole_block_fill(caterpillar, star):
         )
 
 
-def test_symmetric_operator_is_the_scaled_sup_kernel_bitwise(caterpillar, star):
+def _whole_symmetric_operator(tree, kernel, potential=None):
+    """S from the whole n-by-n sup kernel, as it was built before its rows
+    were built a block at a time."""
+    nu = tree.leaf_measures
+    r = np.sqrt(nu)
+    sup_kernel = _sup_kernel(tree, kernel)
+    diagonal = sup_kernel @ nu - sup_kernel.diagonal() * nu
+    if potential is not None:
+        diagonal += potential
+    sym = sup_kernel * np.outer(-r, r)
+    np.fill_diagonal(sym, diagonal)
+    return sym
+
+
+def test_symmetric_operator_is_the_scaled_sup_kernel_bitwise(caterpillar, star, monkeypatch):
     trees = [
         random_tree(np.random.default_rng([29, seed]), max_leaves=200, max_children=8)
         for seed in range(8)
     ]
     one_leaf = uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),)))
     trees += [caterpillar(300), star(500), one_leaf]
+    small = [
+        random_tree(np.random.default_rng([31, seed]), min_leaves=33, max_leaves=95)
+        for seed in range(6)
+    ]
     rng = np.random.default_rng(30)
     for tree in trees:
         kernel = random_kernel(rng, tree)
-        nu = tree.leaf_measures
-        r = np.sqrt(nu)
-        sup_kernel = _sup_kernel(tree, kernel)
-        m_diagonal = sup_kernel @ nu - sup_kernel.diagonal() * nu
         for u in (None, rng.uniform(-5.0, 5.0, tree.n_leaves)):
-            reference = sup_kernel * np.outer(-r, r)
-            np.fill_diagonal(reference, m_diagonal if u is None else m_diagonal + u)
             sym = symmetric_operator(tree, kernel, u)
+            reference = _whole_symmetric_operator(tree, kernel, u)
             np.testing.assert_array_equal(sym, reference, strict=True)
             np.testing.assert_array_equal(sym, sym.T, strict=True)
+    # built 32 rows at a time; up to 95 leaves every gemv, the whole
+    # matrix's too, runs on one OpenBLAS thread
+    monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)
+    for tree in small + [caterpillar(95), star(65), one_leaf]:
+        kernel = random_kernel(rng, tree)
+        u = rng.uniform(-5.0, 5.0, tree.n_leaves)
+        np.testing.assert_array_equal(
+            symmetric_operator(tree, kernel, u), _whole_symmetric_operator(tree, kernel, u)
+        )
+
+
+# -- the streamed residual against the whole arrays ---------------------------
+
+
+def _whole_array_verification(tree, kernel, basis, spec):
+    """``verify_spectrum``'s report from the whole n-by-n arrays diag(r) S
+    and R, as it was computed before the rows were streamed."""
+    r = np.sqrt(tree.leaf_measures)
+    lam = spec.for_basis(basis)
+    operator_norm = float(np.max(np.abs(lam)))
+    eta, commutator, gram_diagonal = _gram_deviation(basis, spec.for_tree(basis.tree))
+    sym = _whole_symmetric_operator(tree, kernel)
+    sym *= r[:, None]
+    residual = basis.matrix_times(sym)
+    wavelet_index, leaf, value = basis._entries(slice(None))
+    residual[wavelet_index, leaf] -= lam[wavelet_index] * (r[leaf] * value)
+    squares = _sum_of_squares(residual)
+    scale = np.maximum(1.0, operator_norm * np.sqrt(gram_diagonal))
+    if eta <= 0.5:
+        norm = math.sqrt(np.sum(squares))
+        bound = (norm + commutator / 2 + eta**2 * operator_norm) / math.sqrt(1.0 - eta)
+    else:
+        bound = math.inf
+    return SpectrumVerification(
+        max_residual=float(np.max(np.sqrt(squares) / scale)),
+        residual_tol=_RESIDUAL_TOL,
+        multiset_max_diff=bound,
+        multiset_tol=_MULTISET_TOL,
+        operator_norm=operator_norm,
+        gram_deviation=eta,
+    )
+
+
+def _bits(report):
+    return [float(value).hex() for value in dataclasses.astuple(report)]
+
+
+def _comb(groups):
+    """The root's children alternate a leaf and a ball of two leaves, so the
+    sweep reads the root's own leaves last, after every block has moved on."""
+    balls = [BallSpec("r", None, 1.0)]
+    leaves = []
+    for i in range(groups):
+        balls += [BallSpec(f"x{i}", "r", 0.5), BallSpec(f"c{i}", "r", 0.5)]
+        balls += [BallSpec(f"c{i}.{j}", f"c{i}", 0.25) for j in range(2)]
+        leaves += [f"x{i}", f"c{i}.0", f"c{i}.1"]
+    measures = np.random.default_rng(groups).uniform(0.5, 2.0, len(leaves))
+    return uw.build_tree(TreeSpec(balls=tuple(balls), leaf_measures=dict(zip(leaves, measures))))
+
+
+def test_streamed_residual_has_the_bits_of_the_whole_arrays(caterpillar, star, monkeypatch):
+    # 32-row blocks and windows: n below a block, a multiple of one, one row
+    # more (the last block takes it) and neither; up to 95 leaves every
+    # gemv, the whole matrix's too, runs on one OpenBLAS thread
+    rng = np.random.default_rng(47)
+    trees = [random_tree(rng, min_leaves=33, max_leaves=95, max_children=8) for _ in range(8)]
+    trees += [random_tree(rng, min_leaves=n, max_leaves=n) for n in (20, 33, 33, 64, 65, 65, 90)]
+    trees += [star(95), star(64), caterpillar(95), _comb(31)]
+    trees.append(uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 2.0),))))
+    monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)
+    for index, tree in enumerate(trees):
+        basis = uw.build_basis(tree)
+        kernel = random_kernel(rng, tree)
+        spec = uw.spectrum(tree, kernel)
+        cases = [(basis, spec)]
+        if basis.size > 1:
+            cases += [(basis, corrupt_spectrum(spec)), (corrupt_basis_sign(basis), spec)]
+        for case, (b, s) in enumerate(cases):
+            report = uw.verify_spectrum(tree, kernel, b, s)
+            assert _bits(report) == _bits(_whole_array_verification(tree, kernel, b, s)), (
+                index,
+                case,
+            )

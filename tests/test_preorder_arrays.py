@@ -289,6 +289,12 @@ def test_tree_sweeps_match_the_per_ball_recursions_bitwise(shape, dtype):
     want = _reference_path_sums(ref, terms)
     got = tree.path_sums(terms.copy())
     assert got.dtype == terms.dtype and _same_bits(got, want)
+    # the internal balls' sums alone: the deepest level, all leaves, keeps its terms
+    internal = tree.path_sums(terms.copy(), internal_only=True)
+    deepest = tree.levels[-1] if tree.depth else []
+    assert np.all(tree.child_count[deepest] == 0)
+    assert _same_bits(internal[deepest], terms[deepest])
+    assert _same_bits(np.delete(internal, deepest), np.delete(want, deepest))
 
     leaf_values = _wide_values(rng, tree.n_leaves, dtype)
     got = tree.ball_integrals(leaf_values)

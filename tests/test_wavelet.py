@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultrawave as uw
+from ultrawave import wavelet
 from ultrawave.ball_tree import BallSpec, TreeSpec
 from ultrawave.certify import random_tree, random_tree_spec
 
@@ -278,7 +279,7 @@ def _reference_matrix(tree):
     return np.array(rows)
 
 
-def test_matrix_matches_plain_formula_bitwise():
+def test_matrix_matches_plain_formula_bitwise(monkeypatch):
     rng = np.random.default_rng(23)
     trees = [random_tree(rng, min_leaves=2, max_leaves=150, max_children=7) for _ in range(10)]
     trees += [
@@ -288,6 +289,46 @@ def test_matrix_matches_plain_formula_bitwise():
     ]
     for tree in trees:
         np.testing.assert_array_equal(uw.build_basis(tree).matrix, _reference_matrix(tree))
+    monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)  # 32 rows at a time
+    for tree in trees[-3:]:
+        np.testing.assert_array_equal(uw.build_basis(tree).matrix, _reference_matrix(tree))
+
+
+def test_blocks_are_slices_of_the_matrix():
+    trees = [
+        random_tree(np.random.default_rng(3), min_leaves=120, max_leaves=120, max_children=7),
+        _adversarial_tree("caterpillar", 90, 3),
+        _adversarial_tree("star", 100, 3),
+        uw.build_tree(TreeSpec(balls=(BallSpec("r", None, 1.0, 4.0),))),
+    ]
+    for tree in trees:
+        basis = uw.build_basis(tree)
+        matrix = _reference_matrix(tree)
+        size, n = basis.size, tree.n_leaves
+        rows = [slice(None), slice(0, 0), slice(0, 32), slice(size // 3, size)]
+        rows.append(slice(size - 1, size))
+        leaves = [slice(None), slice(n // 4, n // 2 + 1), slice(n - 1, n), slice(0, 0)]
+        for r in rows:
+            for columns in leaves:
+                block = basis.block(r, columns)
+                assert block.flags.c_contiguous
+                np.testing.assert_array_equal(block, matrix[r, columns], strict=True)
+        with pytest.raises(ValueError, match="step 1"):
+            basis.block(slice(0, size, 2))
+        # a range of wavelets expands to the leaves of their supports alone
+        wavelets = slice(size // 3, 2 * size // 3)
+        start, _, stop = basis.support(wavelets)
+        row, leaf, _ = basis._entries(wavelets)
+        assert row.size == np.sum(stop - start)
+        assert np.array_equal(np.bincount(row, minlength=stop.size), stop - start)
+
+
+@pytest.mark.parametrize("kind, n", [("random", 200), ("star", 300)])
+def test_gram_keeps_its_bits_in_blocks(kind, n, monkeypatch):
+    basis = uw.build_basis(_adversarial_tree(kind, n, 11))
+    whole = basis.gram()
+    monkeypatch.setattr(wavelet, "_BLOCK_BYTES", 1)  # 32 wavelets at a time
+    np.testing.assert_array_equal(basis.gram(), whole, strict=True)
 
 
 def _spec_from_children(children, measures):
