@@ -669,7 +669,8 @@ def spacetime_product_check(
         mine = np.flatnonzero(tree.parent[basis.plan.child] == tree.index(ball_id))
         if not 1 <= index <= mine.size:
             raise ValueError(f"no wavelet with ball {ball_id!r} and index {index}")
-        rows.append(basis.matrix[mine[index - 1]])
+        k = int(mine[index - 1])
+        rows.append(basis.block(slice(k, k + 1))[0])
     grid = np.outer(*rows)
     m_x = dense_operator(tree_x, kernel_x)
     m_t = dense_operator(tree_t, kernel_t)

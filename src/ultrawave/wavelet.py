@@ -26,7 +26,8 @@ each is a balanced tree of additions and rounding grows with depth and the
 log of the arity, not with n.
 
 The dense oracles work from the same plan, and ``_row_blocks`` cuts what
-they form into blocks of about 1 MiB.  ``matrix_times(y)`` returns
+they form into blocks of about 256 KiB and at least 32 rows, so from 1024
+leaves up every block is 32 rows long.  ``matrix_times(y)`` returns
 ``matrix @ y`` in one children-first sweep over the balls, O(balls) work
 per column of ``y``, without building ``matrix``; ``stream_matrix_times``
 is that sweep with the rows of ``y`` and of the product passed through
@@ -53,15 +54,19 @@ import numpy as np
 
 from .ball_tree import BallTree, running_sums
 
-#: Bytes of one block of a dense oracle's rows (or columns), formed at a time (1 MiB).
-_BLOCK_BYTES = 1 << 20
+#: Bytes of one block of a dense oracle's rows (or columns), formed at a time (256 KiB).
+_BLOCK_BYTES = 1 << 18
 
 
 def _row_blocks(count: int, length: int) -> list[tuple[int, int]]:
     """Ranges ``[first, last)`` that cut ``count`` rows of ``length`` floats into blocks.
 
-    A block holds about ``_BLOCK_BYTES`` in a multiple of 32 rows, and the
-    last block takes a lone row left over.  A block's product with a
+    A block holds about ``_BLOCK_BYTES`` (256 KiB) in a multiple of 32
+    rows, and the last block takes a lone row left over.  32 rows is the
+    floor, which rows of 1024 floats or more all reach: a block is then
+    32 rows whatever the bytes, 512 KiB at 2048 leaves and 2 MiB at 8192,
+    while rows of 200 floats or fewer, ``certify``'s default trees, come in
+    one or two blocks.  A block's product with a
     vector is then a BLAS gemv whose rows fall in the same groups of four
     as in the whole matrix's product (OpenBLAS sums a row of a group in
     another order than a row left over), also when it splits a block

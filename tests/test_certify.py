@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ def test_transform_check_in_blocks_has_the_bits_of_whole_matrix_products(monkeyp
             streamed = certify._transform_deviation(tree, b, np.random.default_rng(5))
             whole = _whole_matrix_transform_deviation(tree, b, np.random.default_rng(5))
             assert streamed.hex() == whole.hex()
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        uw.build_tree(uw.padic_preset(2, 11)),
+        random_tree(np.random.default_rng(3), min_leaves=2048, max_leaves=2048),
+    ],
+    ids=["padic", "random"],
+)
+def test_transform_check_memory_is_a_few_blocks(tree):
+    # 32-row and 32-column blocks of the matrix at 2048 leaves, 512 KiB
+    # each; blocks of 1 MiB would break the bound (1.3 MiB)
+    basis = uw.build_basis(tree)
+    tracemalloc.start()
+    try:
+        value = certify._transform_deviation(tree, basis, np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert value <= 1e-12
 
 
 def test_sign_bug_reaches_fast_and_dense_paths_alike():

@@ -928,6 +928,20 @@ def test_wavelet_product_solves_balance_equation(binary_tree, binary_kernel):
             assert report.residual_norm <= 1e-10 * report.norm
 
 
+def test_product_check_reads_one_wavelet_row_not_the_whole_matrix(monkeypatch):
+    # the check needs one row of each basis; the whole matrix is size-by-n
+    tree = random_tree(np.random.default_rng(31), min_leaves=40, max_leaves=80)
+    kernel = uw.vladimirov_kernel(tree, 0.5)
+
+    def whole_matrix(self):
+        raise AssertionError("the whole basis matrix was built")
+
+    monkeypatch.setattr(uw.WaveletBasis, "matrix", property(whole_matrix))
+    for ball in tree.internal[:6]:
+        report = uw.spacetime_product_check(tree, kernel, ball, 1, tree, kernel, tree.root, 1)
+        assert report.passed
+
+
 def test_zero_eigenvalue_is_rejected(binary_tree, binary_kernel):
     silent = uw.constant_kernel(binary_tree, 0.0)
     with pytest.raises(ValueError, match="nonzero eigenvalues"):

@@ -557,16 +557,17 @@ def test_verify_spectrum_on_a_single_leaf():
 @pytest.mark.parametrize(
     "tree, mib",
     [
-        (uw.build_tree(uw.padic_preset(2, 10)), 8),
-        (random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000), 8),
-        (uw.build_tree(uw.padic_preset(2, 12)), 32),
+        (uw.build_tree(uw.padic_preset(2, 10)), 2),
+        (random_tree(np.random.default_rng(2), min_leaves=1000, max_leaves=1000), 2),
+        (uw.build_tree(uw.padic_preset(2, 12)), 4),
     ],
     ids=["padic", "random", "padic-4096"],
 )
 def test_verify_spectrum_memory_is_a_few_row_blocks(tree, mib):
-    # blocks of rows of diag(r) S and of the residual, never either whole:
-    # the two n-by-n arrays it once held were 16 MiB at 1024 leaves and
-    # 256 MiB at 4096
+    # 32-row blocks of diag(r) S and of the residual, never either whole
+    # (16 MiB at 1024 leaves, 256 MiB at 4096); blocks of 1 MiB, or a
+    # temporary of a block's size in the scaling of S's rows, would break
+    # the bounds (3.5 MiB and 4.6 MiB)
     kernel = uw.vladimirov_kernel(tree, 0.5)
     basis, spec = uw.build_basis(tree), uw.spectrum(tree, kernel)
     tracemalloc.start()
